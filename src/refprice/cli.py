@@ -78,7 +78,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     write_curve_csv(curve, path)
     print(
         f"wrote {path}: horizon {cfg.run.T}, markdown starts at round "
-        f"{curve.markdown_start} ({curve.n_probes} probes)"
+        f"{curve.markdown_start}"
     )
     return 0
 

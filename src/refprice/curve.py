@@ -13,12 +13,14 @@ by rolling the equivalent one-step rule
     p_{t+1} = p_t - c1 * r_t / (t + 1 + c1)
 
 forward from an initial price chosen so the final-round condition
-p_T = c1 * r_T + c2 holds.  ``markdown_start`` is located by binary search on
-the feasibility of that initial price.
+p_T = c1 * r_T + c2 holds.  ``markdown_start`` is the first round whose
+initial price is feasible, found for all candidate rounds at once by pulling
+that final-round condition back in one backward sweep.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +58,6 @@ class PriceCurve:
     markdown_start: int
     prices: np.ndarray
     refs: np.ndarray
-    n_probes: int = 0
 
     def __post_init__(self) -> None:
         self.prices = np.asarray(self.prices, dtype=float)
@@ -219,64 +220,51 @@ def curve_from_markdown_start(
 
 
 def solve_curve(
-    theta: PolicyParams,
-    r_start: float,
-    t_start: int,
-    horizon: int,
-    p_max: float,
-    cross_check: bool = False,
+    theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
 ) -> PriceCurve:
-    """Find the smallest feasible markdown start by binary search and return
-    the full curve.
+    """Find the smallest feasible markdown start in one backward sweep and
+    return the full curve.
 
-    Feasibility is monotone in the markdown start for valid parameters; with
-    ``cross_check`` the result is verified against an exhaustive linear scan
-    (debug aid, O(T^2)).
+    The final-round condition p_T - c1*r_T = c2 is linear in the state
+    (p_T, r_T).  Pulling its covector (u, v) back through the one-step maps,
+    round T down to t_start, gives the segment's initial price for every
+    start s in one pass: p_s = (c2 - v_s*r_md(s)) / u_s.  A start is a
+    candidate when the system on [s, T] is diagonally dominant,
+    |u_s| >= 1e-12 and p_s lies in [0, p_max] up to FEASIBILITY_TOL, the
+    conditions ``curve_from_markdown_start`` checks.  The curve is built by
+    ``curve_from_markdown_start`` at the smallest candidate it accepts, so it
+    equals the exhaustive linear scan's.
     """
-    if t_start > horizon:
-        raise ValueError("t_start must not exceed the horizon")
+    if not 1 <= t_start <= horizon:
+        raise ValueError("need 1 <= t_start <= horizon")
     if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
         raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
-    probes = 0
-    cache: dict[int, bool] = {}
-
-    def feasible(t_md: int) -> bool:
-        nonlocal probes
-        if t_md not in cache:
-            probes += 1
-            r_md = (t_start * r_start + (t_md - t_start) * p_max) / t_md
-            try:
-                p0 = segment_initial_price(theta, r_md, t_md, horizon)
-                cache[t_md] = -FEASIBILITY_TOL <= p0 <= p_max + FEASIBILITY_TOL
-            except SolverError:
-                # Far below the true markdown start the system can lose
-                # diagonal dominance; those rounds cannot start the markdown.
-                cache[t_md] = False
-        return cache[t_md]
-
-    lo, hi = t_start, horizon
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if not feasible(lo):
-        raise SolverError(
-            "no feasible markdown start; the final-round case should always be feasible"
-        )
-    curve = curve_from_markdown_start(theta, r_start, t_start, lo, horizon, p_max)
-    assert curve is not None
-    curve.n_probes = probes
-
-    if cross_check:
-        scan = linear_scan_markdown_start(theta, r_start, t_start, horizon, p_max)
-        if scan != curve.markdown_start:
-            raise SolverError(
-                f"feasibility is not monotone: binary search found {curve.markdown_start}, "
-                f"linear scan found {scan}"
-            )
-    return curve
+    c1, c2 = theta.c1, theta.c2
+    lo, hi = -FEASIBILITY_TOL, p_max + FEASIBILITY_TOL
+    base = t_start * r_start
+    u, v = 1.0, -c1  # covector of round t
+    tail = 0.0  # sum_{j > t} 1/j
+    starts = array("q")  # candidates, latest first
+    for t in range(horizon, t_start - 1, -1):
+        # The dominance margin only shrinks as t falls: no earlier round can
+        # start the markdown either.
+        if c1 * tail >= 1.0:
+            break
+        r_md = (base + (t - t_start) * p_max) / t
+        if abs(u) >= 1e-12 and lo <= (c2 - v * r_md) / u <= hi:
+            starts.append(t)
+        tail += 1.0 / t
+        u, v = u + v / t, v * (t - 1) / t - u * c1 / (t + c1)
+    for t_md in reversed(starts):
+        # The exact recheck can disagree below an ulp at the boundary; the
+        # next candidate then starts the markdown.
+        try:
+            curve = curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max)
+        except SolverError:
+            continue
+        if curve is not None:
+            return curve
+    raise SolverError("no feasible markdown start")
 
 
 def linear_scan_markdown_start(

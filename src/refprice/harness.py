@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import induced_references, solve_curve
+from .curve import curve_value, induced_references, solve_curve
 from .model import (
     Instance,
     NoiseSpec,
@@ -25,7 +25,6 @@ from .model import (
     true_policy_params,
 )
 from .policies import Policy, make_policy
-from . import curve as curve_mod
 
 
 class SimEnv:
@@ -201,9 +200,9 @@ def _clairvoyant_cached(inst: Instance, r1: float, T: int) -> float:
     theta = true_policy_params(inst)
     if inst.symmetric:
         curve = solve_curve(theta, r1, 1, T, inst.p_max)
-        return curve_mod.curve_value(inst, curve, r1)
+        return curve_value(inst, curve, r1)
     curve = solve_curve(theta, inst.p_max, 1, T, inst.p_max)
-    return curve_mod.curve_value(inst, curve, r1)
+    return curve_value(inst, curve, r1)
 
 
 def clairvoyant_value(inst: Instance, r1: float, T: int) -> float:

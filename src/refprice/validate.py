@@ -1,9 +1,10 @@
 """Cross-oracle consistency checks backing the ``validate`` CLI command.
 
 Each check pits a fast implementation against an independent slow oracle:
-dense linear solve vs the O(T) recursion, binary search vs linear scan,
-closed-form reset plans vs brute force, the one-point gradient estimate vs the
-analytic derivative, and the optimality-condition residual of solved curves.
+dense linear solve vs the O(T) recursion, the backward-sweep markdown start vs
+linear scan, closed-form reset plans vs brute force, the one-point gradient
+estimate vs the analytic derivative, and the optimality-condition residual of
+solved curves.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from .curve import (
     solve_segment,
 )
 from .model import Instance, PolicyParams, true_policy_params
-from .policies import reset_ref
+from .policies import RESET_TOL, reset_ref
 
 FOC_TOL = 1e-8
 ORACLE_TOL = 1e-8
-RESET_TOL = 1e-9
 
 
 @dataclass
@@ -87,6 +87,8 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
 def check_binary_vs_linear(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
 ) -> CheckResult:
+    """Markdown start of ``solve_curve``'s backward sweep vs the exhaustive
+    linear scan, on random symmetric and asymmetric instances."""
     mismatches = 0
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
@@ -140,10 +142,12 @@ def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> Ch
         r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
         plan, rounds = reset_ref(t, r_t, r_target, p_max)
         oracle_n = brute_force_reset(t, r_t, r_target, p_max)
-        expect_rounds = 0 if oracle_n == 0 and abs(r_t - r_target) <= RESET_TOL else oracle_n + 1
-        if abs(r_t - r_target) <= RESET_TOL:
-            expect_rounds = 0
-        if oracle_n is None or rounds != expect_rounds:
+        # An oracle miss counts as a mismatch; test it before using oracle_n.
+        if oracle_n is None:
+            bad += 1
+            continue
+        expect_rounds = 0 if abs(r_t - r_target) <= RESET_TOL else oracle_n + 1
+        if rounds != expect_rounds:
             bad += 1
             continue
         total = t * r_t + sum(plan)

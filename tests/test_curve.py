@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refprice import (
     FocSystem,
@@ -131,18 +131,59 @@ def test_binary_matches_linear_scan(rng):
         theta = true_policy_params(inst)
         horizon = int(rng.integers(5, 301))
         r_start = rng.uniform(0, inst.p_max)
-        curve = solve_curve(theta, r_start, 1, horizon, inst.p_max, cross_check=True)
-        assert curve.markdown_start >= 1
+        curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
+        assert curve.markdown_start == linear_scan_markdown_start(
+            theta, r_start, 1, horizon, inst.p_max
+        )
 
 
-def test_probe_count_bound(rng):
-    for _ in range(20):
+def test_sweep_matches_linear_scan_late_start(rng):
+    for t_start in range(1, 11):
         inst = random_instance(rng)
         theta = true_policy_params(inst)
-        t_start = int(rng.integers(1, 10))
         horizon = t_start + int(rng.integers(1, 2000))
-        curve = solve_curve(theta, rng.uniform(0, inst.p_max), t_start, horizon, inst.p_max)
-        assert curve.n_probes <= math.ceil(math.log2(horizon - t_start + 1)) + 2
+        r_start = rng.uniform(0, inst.p_max)
+        curve = solve_curve(theta, r_start, t_start, horizon, inst.p_max)
+        assert curve.markdown_start == linear_scan_markdown_start(
+            theta, r_start, t_start, horizon, inst.p_max
+        )
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    true_theta=st.booleans(),
+    t_start=st.integers(1, 40),
+    length=st.integers(0, 460),
+    r_share=st.floats(0.0, 1.0),
+)
+def test_sweep_property(seed, symmetric, true_theta, t_start, length, r_share):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, symmetric=symmetric)
+    theta = true_policy_params(inst) if true_theta else random_theta(rng, inst.p_max)
+    horizon = t_start + length
+    r_start = r_share * inst.p_max
+    args = (theta, r_start, t_start, horizon, inst.p_max)
+    try:
+        scan = linear_scan_markdown_start(*args)
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_curve(*args)
+        return
+    curve = solve_curve(*args)
+    assert curve.markdown_start == scan
+    # the closed-form final price may sit an ulp above the rolled one
+    assert np.all(np.diff(curve.prices) <= 1e-12)
+    assert np.all(curve.prices >= 0.0) and np.all(curve.prices <= inst.p_max)
+
+
+def test_long_horizon_markdown_start(inst_symmetric):
+    inst = inst_symmetric
+    theta = true_policy_params(inst)
+    curve = solve_curve(theta, inst.p_max, 1, 10**6, inst.p_max)
+    assert curve.markdown_start == 83120
+    assert foc_residual(curve, theta) <= 1e-8
 
 
 def test_markdown_invariant_sample(rng):
