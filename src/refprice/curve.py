@@ -71,9 +71,6 @@ class PriceCurve:
     def horizon(self) -> int:
         return self.t_start + len(self.prices) - 1
 
-    def price_at(self, t: int) -> float:
-        return float(self.prices[t - self.t_start])
-
 
 @dataclass(frozen=True)
 class FocSystem:
@@ -181,8 +178,9 @@ def solve_segment(
         total += prices[i]
         r = total / (t + 1.0)
     # Final round satisfies p_T = c1*r_T + c2 by construction of p0; assign the
-    # closed form so the terminal identity holds to the last bit.
-    prices[-1] = c1 * refs[-1] + c2
+    # closed form so the terminal identity holds to the last bit, unless that
+    # sits an ulp above the rolled price before it: a markdown never rises.
+    prices[-1] = min(c1 * refs[-1] + c2, prices[-2])
     return prices, refs
 
 

@@ -1,10 +1,12 @@
 """Episode simulation, clairvoyant baselines, regret sweeps, and CSV output.
 
-Regret is measured on expected revenue: noise perturbs only what the policy
-observes, not how a posted price sequence is scored.  Episodes are
-deterministic given (instance, noise, policy spec, T, r1, seed); the seed for
-episode i of a run is base_seed + i, with the same seed list reused across the
-horizons of a sweep.
+An episode is one loop: the policy hands over its next block of prices
+(``Policy.next_block``), the simulator posts the block, trimmed to the
+horizon, and the policy observes the block's demands.  Regret is measured on
+expected revenue: noise perturbs only what the policy observes, not how a
+posted price sequence is scored.  Episodes are deterministic given (instance,
+noise, policy spec, T, r1, seed); the seed for episode i of a run is
+base_seed + i, with the same seed list reused across the horizons of a sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import curve_value, induced_references, solve_curve
+from .curve import curve_value, solve_curve
 from .model import (
     Instance,
     NoiseSpec,
@@ -26,13 +28,21 @@ from .model import (
 )
 from .policies import Policy, make_policy
 
+# Blocks shorter than this go through the scalar ``post``: one numpy block
+# costs about as much as 7 scalar rounds.
+BLOCK_CUTOVER = 8
+# Longest run of rounds ``post_block`` handles with one set of numpy
+# temporaries.
+BLOCK_CHUNK = 4096
+
 
 class SimEnv:
     """One pricing episode: posts prices, draws shocks, tracks the reference.
 
     The reference follows the running-average dynamics, kept as an exact
-    (sum, count) pair.  ``post`` returns the realized demand and advances one
-    round; prices outside [0, p_max] are a hard failure.
+    (sum, count) pair.  ``post`` posts one round and returns its realized
+    demand; ``post_block`` posts a run of rounds with the same arithmetic and
+    the same random draws.  Prices outside [0, p_max] are a hard failure.
     """
 
     def __init__(
@@ -83,6 +93,42 @@ class SimEnv:
         self._r = self._total / self._count
         self.t += 1
         return demand
+
+    def post_block(self, prices: Sequence[float]) -> Sequence[float]:
+        """Post ``prices`` in order and return their realized demands.
+
+        Bit for bit the same as calling ``post`` on each price: the running
+        total is a sequential cumsum seeded with the total, and the shocks
+        come from one ``draw_array`` per chunk, which yields the scalar
+        draws' numbers.
+        """
+        n = len(prices)
+        if n < BLOCK_CUTOVER:
+            return [self.post(p) for p in prices]
+        if self.t + n - 1 > self.T:
+            raise RuntimeError("episode horizon exhausted")
+        prices = np.asarray(prices, dtype=float)
+        out = self.demands[self.t - 1 : self.t - 1 + n] if self.record else np.empty(n)
+        acc = np.empty(BLOCK_CHUNK + 1)
+        for lo in range(0, n, BLOCK_CHUNK):
+            p = prices[lo : lo + BLOCK_CHUNK]
+            m = len(p)
+            totals = acc[: m + 1]
+            totals[0] = self._total
+            totals[1:] = p
+            np.cumsum(totals, out=totals)
+            refs = totals[:-1] / np.arange(self._count, self._count + m, dtype=float)
+            demand = expected_demand_vec(self.inst, p, refs) + self.noise.draw_array(self.rng, m)
+            out[lo : lo + m] = demand
+            if self.record:
+                i = self.t - 1
+                self.prices[i : i + m] = p
+                self.refs[i : i + m] = refs
+            self._total = float(totals[-1])
+            self._count += m
+            self._r = self._total / self._count
+            self.t += m
+        return out
 
 
 @dataclass
@@ -153,23 +199,13 @@ def run_episode(
     rng = np.random.default_rng(seed)
     if isinstance(policy, dict):
         policy = make_policy(policy, inst, T, r1, rng)
-
-    planned = policy.planned_prices()
-    if planned is not None:
-        prices = np.asarray(planned, dtype=float)
-        if len(prices) != T:
-            raise ValueError("planned price path length must equal the horizon")
-        refs = induced_references(prices, 1, r1)
-        demands = expected_demand_vec(inst, prices, refs) + noise.draw_array(rng, T)
-        return _finish_record(inst, policy, seed, T, r1, prices, refs, demands)
-
     env = SimEnv(inst, noise, T, r1, rng, record=True)
     while env.t <= T:
         t = env.t
-        price = policy.next_price(t, env.r)
-        r_before = env.r
-        demand = env.post(price)
-        policy.observe(t, price, r_before, demand)
+        block = policy.next_block(t, env.r)[: T - t + 1]
+        if len(block) == 0:
+            raise ValueError(f"policy {policy.kind!r} returned no price for round {t}")
+        policy.observe(t, env.post_block(block))
     return _finish_record(inst, policy, seed, T, r1, env.prices, env.refs, env.demands)
 
 
@@ -225,8 +261,12 @@ class RegretRecord:
     flagged: bool = False
 
 
-def _episode_value(args) -> float:
-    inst, noise, policy_spec, T, r1, seed = args
+def _episode_value(job) -> float:
+    """Pool task: the expected total of one episode, or the clairvoyant
+    baseline's when the job's policy spec is None."""
+    inst, noise, policy_spec, T, r1, seed = job
+    if policy_spec is None:
+        return clairvoyant_value(inst, r1, T)
     return run_episode(inst, noise, policy_spec, T, r1, seed).expected_total
 
 
@@ -242,6 +282,10 @@ def regret_sweep(
 ) -> tuple[list[RegretRecord], Optional[float]]:
     """Mean regret per horizon plus the fitted log-log slope.
 
+    Every horizon's baseline and episodes go to one job list, largest horizon
+    first, run by a single process pool when ``threads > 1``; results are
+    read back in job order, so they do not depend on ``threads``.
+
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
     nonpositive horizons are excluded from the slope fit.
@@ -250,15 +294,21 @@ def regret_sweep(
         raise ValueError("T_list must not be empty")
     if seeds < 1:
         raise ValueError("need at least one seed")
+    order = sorted(range(len(T_list)), key=lambda k: -T_list[k])
+    jobs = []
+    for k in order:
+        T = T_list[k]
+        jobs.append((inst, noise, None, T, r1, None))
+        jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_episode_value, jobs))
+    else:
+        results = [_episode_value(j) for j in jobs]
+    by_horizon = {k: results[j * (seeds + 1) : (j + 1) * (seeds + 1)] for j, k in enumerate(order)}
     records = []
-    for T in T_list:
-        v_star = clairvoyant_value(inst, r1, T)
-        jobs = [(inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(_episode_value, jobs))
-        else:
-            values = [_episode_value(j) for j in jobs]
+    for k, T in enumerate(T_list):
+        v_star, *values = by_horizon[k]
         values = np.asarray(values)
         mean_value = float(np.mean(values))
         regret = v_star - mean_value

@@ -2,18 +2,20 @@
 explore-then-exploit learner with its reference-reset and greedy-price-learning
 subroutines.
 
-A policy is a single-episode object driven round by round: ``next_price(t, r)``
-asks for the price to post at round t given the current reference r, and
-``observe`` feeds back the realized demand.  Policies whose whole price path is
-known up front expose it via ``planned_prices`` so episodes can be vectorized.
+A policy is a single-episode object driven block by block:
+``next_block(t, r)`` returns the run of prices to post from round t on, given
+the current reference r, and ``observe(t, demands)`` feeds back the realized
+demands of the rounds actually posted (the harness cuts a block at the
+horizon).  Policies whose whole price path is fixed in advance return it in
+one block; the learner returns a reset plan, a single learning price, or its
+exploitation tail.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -263,36 +265,38 @@ def learn_greedy(
 
 
 class Policy:
-    """Round-driven pricing policy for a single episode."""
+    """Block-driven pricing policy for a single episode."""
 
     kind = "abstract"
 
-    def next_price(self, t: int, r: float) -> float:
+    def next_block(self, t: int, r: float) -> Sequence[float]:
+        """Prices to post from round t on, given the reference r at round t;
+        never empty."""
         raise NotImplementedError
 
-    def observe(self, t: int, price: float, r: float, demand: float) -> None:
-        pass
-
-    def planned_prices(self) -> Optional[np.ndarray]:
-        """Full price path when it is fixed in advance, else None."""
-        return None
+    def observe(self, t: int, demands: Sequence[float]) -> None:
+        """Realized demands of the block that started at round t, one per
+        round posted."""
 
     def meta(self) -> dict:
         return {}
 
 
-class FixedPrice(Policy):
+class PlannedPolicy(Policy):
+    """A price path fixed before the episode starts, posted as one block."""
+
+    def __init__(self, prices: np.ndarray):
+        self.prices = prices
+
+    def next_block(self, t: int, r: float) -> np.ndarray:
+        return self.prices[t - 1 :]
+
+
+class FixedPrice(PlannedPolicy):
     kind = "fixed"
 
     def __init__(self, price: float, T: int):
-        self.price = price
-        self.T = T
-
-    def next_price(self, t: int, r: float) -> float:
-        return self.price
-
-    def planned_prices(self) -> np.ndarray:
-        return np.full(self.T, self.price)
+        super().__init__(np.full(T, price))
 
 
 class OptimalFixed(FixedPrice):
@@ -302,33 +306,38 @@ class OptimalFixed(FixedPrice):
         super().__init__(optimal_fixed_price(inst, r1, T), T)
 
 
-class TwoPrice(Policy):
+class TwoPrice(PlannedPolicy):
     kind = "two_price"
 
     def __init__(self, inst: Instance, alpha: float, T: int):
-        self.p_u, self.p_d, self.switch = two_price_policy(inst, alpha, T)
-        self.T = T
-
-    def next_price(self, t: int, r: float) -> float:
-        return self.p_u if t <= self.switch else self.p_d
-
-    def planned_prices(self) -> np.ndarray:
-        prices = np.full(self.T, self.p_d)
-        prices[: self.switch] = self.p_u
-        return prices
+        p_u, p_d, switch = two_price_policy(inst, alpha, T)
+        prices = np.full(T, p_d)
+        prices[:switch] = p_u
+        super().__init__(prices)
 
 
-class MyopicGreedy(Policy):
+class MyopicGreedy(PlannedPolicy):
+    """Posts the single-round revenue maximizer at every round.
+
+    Its prices never depend on demand, so the whole path is rolled up front
+    with the simulator's exact running total: the reference after round t is
+    (r1 + p_1 + ... + p_t) / (t + 1), summed in order.
+    """
+
     kind = "myopic_greedy"
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
+    def __init__(self, inst: Instance, r1: float, T: int):
+        prices = []
+        total, r = r1, r1
+        for count in range(2, T + 2):
+            p = myopic_greedy_step(inst, r)
+            prices.append(p)
+            total += p
+            r = total / count
+        super().__init__(np.array(prices))
 
-    def next_price(self, t: int, r: float) -> float:
-        return myopic_greedy_step(self.inst, r)
 
-
-class MarkdownOracle(Policy):
+class MarkdownOracle(PlannedPolicy):
     """Posts the precomputed markdown curve.
 
     With symmetric effects the curve is computed from the episode's actual
@@ -339,15 +348,9 @@ class MarkdownOracle(Policy):
     kind = "markdown_oracle"
 
     def __init__(self, inst: Instance, r1: float, T: int, theta: Optional[PolicyParams] = None):
-        self.theta = theta if theta is not None else true_policy_params(inst)
+        theta = theta if theta is not None else true_policy_params(inst)
         r_start = r1 if inst.symmetric else inst.p_max
-        self.curve = solve_curve(self.theta, r_start, 1, T, inst.p_max)
-
-    def next_price(self, t: int, r: float) -> float:
-        return self.curve.price_at(t)
-
-    def planned_prices(self) -> np.ndarray:
-        return self.curve.prices
+        super().__init__(solve_curve(theta, r_start, 1, T, inst.p_max).prices)
 
 
 def default_t1_budget(p_max: float, T: int, c: float = 1.0) -> int:
@@ -403,8 +406,8 @@ class LearnThenEarn(Policy):
             for target in (self.ra, self.rb)
         ]
         self.phase = 0
-        self.queue: deque[float] = deque()
-        self.pending: Optional[tuple[LearnGreedyState, float]] = None
+        # (learner, kappa, price) of the learning round awaiting its demand.
+        self.pending: Optional[tuple[LearnGreedyState, float, float]] = None
         self.reset_rounds = [0, 0]
         self.learn_rounds = [0, 0]
         self.t2: Optional[int] = None
@@ -412,32 +415,31 @@ class LearnThenEarn(Policy):
         self.exploit_prices: Optional[np.ndarray] = None
         self.degenerate = False
 
-    def next_price(self, t: int, r: float) -> float:
-        self.pending = None
-        if self.queue:
-            return self.queue.popleft()
+    def next_block(self, t: int, r: float) -> Sequence[float]:
         while self.phase < 2 and self.learners[self.phase].done:
             self.phase += 1
         if self.phase < 2:
             learner = self.learners[self.phase]
             if abs(r - learner.r_target) > RESET_TOL:
-                plan, n = reset_ref(t, r, learner.r_target, self.p_max)
-                self.reset_rounds[self.phase] += n
-                self.queue.extend(plan[1:])
-                return plan[0]
+                plan, _ = reset_ref(t, r, learner.r_target, self.p_max)
+                return plan
             kappa = 1.0 if self.rng.random() < 0.5 else -1.0
-            self.pending = (learner, kappa)
-            self.learn_rounds[self.phase] += 1
-            return learner.perturbed_price(kappa)
+            price = learner.perturbed_price(kappa)
+            self.pending = (learner, kappa, price)
+            return [price]
         if self.exploit_prices is None:
             self._start_exploit(t)
-        return float(self.exploit_prices[t - self.t2])
+        return self.exploit_prices[t - self.t2 :]
 
-    def observe(self, t: int, price: float, r: float, demand: float) -> None:
+    def observe(self, t: int, demands: Sequence[float]) -> None:
         if self.pending is not None:
-            learner, kappa = self.pending
-            learner.update(price, demand, kappa)
+            learner, kappa, price = self.pending
+            learner.update(price, float(demands[0]), kappa)
+            self.learn_rounds[self.phase] += 1
             self.pending = None
+        elif self.t2 is None:
+            # A reset plan, counted as posted: the horizon may cut it short.
+            self.reset_rounds[self.phase] += len(demands)
 
     def _start_exploit(self, t: int) -> None:
         p_a = self.learners[0].estimate()
@@ -501,7 +503,7 @@ def make_policy(
     if kind == "two_price":
         return TwoPrice(inst, float(spec["alpha"]), T)
     if kind == "myopic_greedy":
-        return MyopicGreedy(inst)
+        return MyopicGreedy(inst, r1, T)
     if kind == "markdown_oracle":
         theta = spec.get("theta")
         if theta is not None:

@@ -173,9 +173,20 @@ def test_sweep_property(seed, symmetric, true_theta, t_start, length, r_share):
         return
     curve = solve_curve(*args)
     assert curve.markdown_start == scan
-    # the closed-form final price may sit an ulp above the rolled one
-    assert np.all(np.diff(curve.prices) <= 1e-12)
+    assert np.all(np.diff(curve.prices) <= 0.0)
     assert np.all(curve.prices >= 0.0) and np.all(curve.prices <= inst.p_max)
+
+
+def test_final_price_does_not_rise():
+    # The closed-form final price c1*r_T + c2 sits an ulp above the rolled
+    # price of round T-1 here; the curve keeps the rolled one.
+    rng = np.random.default_rng(0)
+    inst = random_instance(rng, symmetric=False)
+    theta = random_theta(rng, inst.p_max)
+    curve = solve_curve(theta, 1.4e-16, 2, 3, inst.p_max)
+    assert curve.markdown_start == 2
+    assert curve.prices[1] <= curve.prices[0]
+    assert curve.prices[1] == pytest.approx(theta.c1 * curve.refs[1] + theta.c2, rel=1e-15)
 
 
 def test_long_horizon_markdown_start(inst_symmetric):

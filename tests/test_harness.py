@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refprice import (
     Instance,
@@ -10,7 +14,15 @@ from refprice import (
     revenue,
 )
 from refprice.curve import harmonic_range
-from refprice.harness import RegretRecord, baseline_kind, fit_loglog_slope
+from refprice.config import load_config
+from refprice.harness import (
+    BLOCK_CHUNK,
+    BLOCK_CUTOVER,
+    RegretRecord,
+    SimEnv,
+    baseline_kind,
+    fit_loglog_slope,
+)
 from refprice.model import DomainError
 from refprice.policies import Policy
 from refprice.validate import random_instance
@@ -69,11 +81,74 @@ def test_out_of_range_price_is_hard_failure(inst_symmetric):
     class Rogue(Policy):
         kind = "rogue"
 
-        def next_price(self, t, r):
-            return inst_symmetric.p_max + 0.5
+        def next_block(self, t, r):
+            return [inst_symmetric.p_max + 0.5] * (10 - t + 1)
 
     with pytest.raises(DomainError):
         run_episode(inst_symmetric, NoiseSpec.none(), Rogue(), 10, 0.5, 0)
+
+
+NOISES = (NoiseSpec.none(), NoiseSpec.bounded_uniform(0.1), NoiseSpec.gaussian(0.2))
+# The conftest instance; hypothesis tests take no function-scoped fixtures.
+INST = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4.0 / 3.0, p_ratio_bound=1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from(NOISES),
+    blocks=st.lists(
+        st.one_of(
+            st.integers(1, 2 * BLOCK_CUTOVER),
+            st.integers(BLOCK_CHUNK - 2, BLOCK_CHUNK + 2 * BLOCK_CUTOVER),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    r_share=st.floats(0.0, 1.0),
+    record=st.booleans(),
+)
+def test_post_block_matches_scalar_post(seed, noise, blocks, r_share, record):
+    inst = INST
+    T = sum(blocks)
+    prices = np.random.default_rng(seed).uniform(0.0, inst.p_max, T)
+    r1 = r_share * inst.p_max
+    block = SimEnv(inst, noise, T, r1, np.random.default_rng(seed), record=record)
+    scalar = SimEnv(inst, noise, T, r1, np.random.default_rng(seed), record=True)
+    lo = 0
+    for n in blocks:
+        demands = block.post_block(prices[lo : lo + n])
+        assert np.array_equal(demands, [scalar.post(p) for p in prices[lo : lo + n]])
+        assert block.r == scalar.r and block.t == scalar.t
+        lo += n
+    assert block.rng.bit_generator.state == scalar.rng.bit_generator.state
+    if record:
+        assert np.array_equal(block.prices, scalar.prices)
+        assert np.array_equal(block.refs, scalar.refs)
+        assert np.array_equal(block.demands, scalar.demands)
+
+
+@pytest.mark.parametrize("n", [BLOCK_CUTOVER - 1, BLOCK_CUTOVER, BLOCK_CHUNK + 1])
+def test_post_block_out_of_range_price(inst_symmetric, n):
+    prices = np.full(n, 0.5)
+    prices[-1] = inst_symmetric.p_max + 0.5
+    for post in (lambda env: env.post_block(prices), lambda env: [env.post(p) for p in prices]):
+        env = SimEnv(inst_symmetric, NoiseSpec.none(), n, 0.5, np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            post(env)
+
+
+def test_reset_rounds_count_posted_rounds():
+    # The exploration phase outlasts T = 1000 and the last reset plan is cut
+    # at the horizon: every round is a learn or a posted reset round.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "learning_sweep.yaml")
+    cfg = load_config(path)
+    T = 1000
+    rec = run_episode(cfg.instance, cfg.noise, cfg.policy, T, cfg.run.r1, 0)
+    m = rec.meta
+    assert m["t2"] is None
+    assert m["reset_rounds"] == sum(m["reset_rounds_by_phase"])
+    assert sum(m["learn_rounds_by_phase"]) + m["reset_rounds"] == T
 
 
 def test_markdown_oracle_is_the_baseline(inst_symmetric):
