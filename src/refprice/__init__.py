@@ -6,12 +6,10 @@ curves, baseline and learning pricing policies, and a seeded regret harness.
 """
 
 from .curve import (
-    FocSystem,
     PriceCurve,
     SolverError,
     curve_from_markdown_start,
     curve_value,
-    dense_solve,
     foc_residual,
     solve_curve,
     solve_segment,
@@ -39,19 +37,16 @@ from .policies import (
     LearnGreedyState,
     LearnThenEarn,
     MarkdownOracle,
-    learn_greedy,
     make_policy,
     myopic_greedy_step,
     optimal_fixed_price,
     reset_ref,
     two_price_policy,
 )
-from .reference import ReferenceState
 
 __all__ = [
     "DomainError",
     "EpisodeRecord",
-    "FocSystem",
     "Instance",
     "LearnGreedyState",
     "LearnThenEarn",
@@ -59,18 +54,15 @@ __all__ = [
     "NoiseSpec",
     "PolicyParams",
     "PriceCurve",
-    "ReferenceState",
     "RegretRecord",
     "SimEnv",
     "SolverError",
     "clairvoyant_value",
     "curve_from_markdown_start",
     "curve_value",
-    "dense_solve",
     "expected_demand",
     "foc_residual",
     "greedy_price",
-    "learn_greedy",
     "make_policy",
     "myopic_greedy_step",
     "optimal_fixed_price",

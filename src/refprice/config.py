@@ -62,6 +62,28 @@ def _check_keys(block: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in {name} block: {sorted(unknown)}")
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float; a bool, or what ``float`` rejects, is a
+    ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integral number is a ConfigError, never
+    truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _parse_instance(raw) -> Instance:
     block = _require_mapping(raw, "instance")
     required = {"a", "b", "eta_plus", "eta_minus", "p_max", "p_ratio_bound"}
@@ -70,7 +92,7 @@ def _parse_instance(raw) -> Instance:
     if missing:
         raise ConfigError(f"instance block missing keys: {sorted(missing)}")
     try:
-        return Instance(**{k: float(block[k]) for k in required})
+        return Instance(**{k: _number(block[k], k) for k in required})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid instance: {exc}") from exc
 
@@ -82,8 +104,8 @@ def _parse_noise(raw) -> NoiseSpec:
     try:
         return NoiseSpec(
             kind=kind,
-            half_width=float(block.get("half_width", 0.0)),
-            std=float(block.get("std", 0.0)),
+            half_width=_number(block.get("half_width", 0.0), "half_width"),
+            std=_number(block.get("std", 0.0), "std"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise: {exc}") from exc
@@ -99,7 +121,7 @@ def _parse_policy(raw, inst: Instance) -> dict:
     if kind == "fixed":
         if "price" not in spec:
             raise ConfigError("fixed policy requires a price")
-        price = float(spec["price"])
+        price = _number(spec["price"], "price")
         if not (0.0 <= price <= inst.p_max):
             raise ConfigError(f"fixed price {price} outside [0, {inst.p_max}]")
         spec["price"] = price
@@ -108,7 +130,7 @@ def _parse_policy(raw, inst: Instance) -> dict:
             raise ConfigError("two_price policy requires alpha")
         if not inst.symmetric:
             raise ConfigError("two_price requires symmetric reference effects")
-        alpha = float(spec["alpha"])
+        alpha = _number(spec["alpha"], "alpha")
         if not (0.0 < alpha < 1.0):
             raise ConfigError("alpha must lie in (0, 1)")
         spec["alpha"] = alpha
@@ -116,27 +138,29 @@ def _parse_policy(raw, inst: Instance) -> dict:
         theta = spec["theta"]
         if not (isinstance(theta, (list, tuple)) and len(theta) == 2):
             raise ConfigError("markdown_oracle theta must be a [c1, c2] pair or null")
+        theta = [_number(x, "markdown_oracle theta") for x in theta]
         try:
-            PolicyParams(float(theta[0]), float(theta[1]))
+            PolicyParams(*theta)
         except ValueError as exc:
             raise ConfigError(f"invalid markdown_oracle theta: {exc}") from exc
-        spec["theta"] = [float(theta[0]), float(theta[1])]
+        spec["theta"] = theta
     if kind == "learn_then_earn":
         ra, rb = spec.get("ra"), spec.get("rb")
         if (ra is None) != (rb is None):
             raise ConfigError("provide both ra and rb or neither")
         if ra is not None:
-            ra, rb = float(ra), float(rb)
+            ra, rb = _number(ra, "ra"), _number(rb, "rb")
             if not (inst.p_ratio_bound < ra < rb < inst.p_max):
                 raise ConfigError("need p_ratio_bound < ra < rb < p_max")
             spec["ra"], spec["rb"] = ra, rb
         if spec.get("t1_budget") is not None:
-            t1 = int(spec["t1_budget"])
+            t1 = _integer(spec["t1_budget"], "t1_budget")
             if t1 < 4:
                 raise ConfigError("t1_budget must be at least 4")
             spec["t1_budget"] = t1
+        # A null c_t1 means the default budget constant.
         if spec.get("c_t1") is not None:
-            spec["c_t1"] = float(spec["c_t1"])
+            spec["c_t1"] = _number(spec["c_t1"], "c_t1")
     return spec
 
 
@@ -147,24 +171,24 @@ def _parse_run(raw, inst: Instance) -> RunConfig:
     )
     run = RunConfig()
     if "T" in block and block["T"] is not None:
-        run.T = int(block["T"])
+        run.T = _integer(block["T"], "T")
         if run.T < 1:
             raise ConfigError("T must be positive")
     if "T_list" in block and block["T_list"] is not None:
         if not isinstance(block["T_list"], list):
             raise ConfigError("T_list must be a list of horizons")
-        run.T_list = [int(x) for x in block["T_list"]]
+        run.T_list = [_integer(x, "T_list entry") for x in block["T_list"]]
         if any(x < 1 for x in run.T_list):
             raise ConfigError("horizons must be positive")
-    run.seeds = int(block.get("seeds", 1))
+    run.seeds = _integer(block.get("seeds", 1), "seeds")
     if run.seeds < 1:
         raise ConfigError("seeds must be at least 1")
-    run.base_seed = int(block.get("base_seed", 0))
-    run.r1 = float(block.get("r1", 0.0))
+    run.base_seed = _integer(block.get("base_seed", 0), "base_seed")
+    run.r1 = _number(block.get("r1", 0.0), "r1")
     if not (0.0 <= run.r1 <= inst.p_max):
         raise ConfigError(f"r1 {run.r1} outside [0, {inst.p_max}]")
     run.out_dir = str(block.get("out_dir", "out"))
-    run.threads = int(block.get("threads", 1))
+    run.threads = _integer(block.get("threads", 1), "threads")
     if run.threads < 1:
         raise ConfigError("threads must be at least 1")
     return run

@@ -72,48 +72,6 @@ class PriceCurve:
         return self.t_start + len(self.prices) - 1
 
 
-@dataclass(frozen=True)
-class FocSystem:
-    """Dense form of the optimality conditions on [markdown_start, horizon].
-
-    Row/column k corresponds to round s_k = markdown_start + k; off-diagonal
-    entry (i, j) is -c1 / s_max(i,j) and the right-hand side is
-    c1 * markdown_start * r_md / s_k + c2.
-    """
-
-    markdown_start: int
-    horizon: int
-    theta: PolicyParams
-    r_md: float
-
-    @property
-    def n(self) -> int:
-        return self.horizon - self.markdown_start + 1
-
-    def rounds(self) -> np.ndarray:
-        return np.arange(self.markdown_start, self.horizon + 1, dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        s = self.rounds()
-        a = -self.theta.c1 / np.maximum.outer(s, s)
-        np.fill_diagonal(a, 1.0)
-        return a
-
-    def rhs(self) -> np.ndarray:
-        s = self.rounds()
-        return self.theta.c1 * self.markdown_start * self.r_md / s + self.theta.c2
-
-    def dominance_margin(self) -> float:
-        return dominance_margin(self.theta.c1, self.markdown_start, self.horizon)
-
-
-def dense_solve(system: FocSystem) -> np.ndarray:
-    """Solve the dense system directly.  Test oracle; O(n^3), keep n small."""
-    if system.dominance_margin() <= 0.0:
-        raise SolverError("system is not strictly diagonally dominant")
-    return np.linalg.solve(system.matrix(), system.rhs())
-
-
 def segment_initial_price(
     theta: PolicyParams, r_md: float, markdown_start: int, horizon: int
 ) -> float:
@@ -263,19 +221,6 @@ def solve_curve(
         if curve is not None:
             return curve
     raise SolverError("no feasible markdown start")
-
-
-def linear_scan_markdown_start(
-    theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
-) -> int:
-    """Smallest feasible markdown start by exhaustive scan (test oracle)."""
-    for t_md in range(t_start, horizon + 1):
-        try:
-            if curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max) is not None:
-                return t_md
-        except SolverError:
-            continue
-    raise SolverError("no feasible markdown start found by linear scan")
 
 
 def induced_references(prices: np.ndarray, t_start: int, r_start: float) -> np.ndarray:

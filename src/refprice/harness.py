@@ -74,10 +74,6 @@ class SimEnv:
     def r(self) -> float:
         return self._r
 
-    @property
-    def p_max(self) -> float:
-        return self.inst.p_max
-
     def post(self, price: float) -> float:
         if self.t > self.T:
             raise RuntimeError("episode horizon exhausted")
@@ -207,22 +203,6 @@ def run_episode(
             raise ValueError(f"policy {policy.kind!r} returned no price for round {t}")
         policy.observe(t, env.post_block(block))
     return _finish_record(inst, policy, seed, T, r1, env.prices, env.refs, env.demands)
-
-
-def learn_then_earn(
-    inst: Instance,
-    noise: NoiseSpec,
-    T: int,
-    r1: float,
-    seed: int,
-    t1_budget=None,
-    ra=None,
-    rb=None,
-    c_t1: float = 1.0,
-) -> EpisodeRecord:
-    """One explore-then-exploit episode; phase metadata lands in the record."""
-    spec = {"kind": "learn_then_earn", "t1_budget": t1_budget, "ra": ra, "rb": rb, "c_t1": c_t1}
-    return run_episode(inst, noise, spec, T, r1, seed)
 
 
 def baseline_kind(inst: Instance) -> str:

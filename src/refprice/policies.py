@@ -120,7 +120,7 @@ def myopic_greedy_step(inst: Instance, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> tuple[list[float], int]:
+def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
     """Shortest price plan moving the running-average reference to r_target.
 
     The count-t average r_t plus the plan's prices must average to r_target:
@@ -128,13 +128,12 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> tuple[list[f
     single interior correction price.  Membership uses the closed interval
     [0, p_max]; the open-interval variant can be empty on exact boundary hits.
 
-    Returns (plan, rounds) with rounds == len(plan); an empty plan when the
-    reference is already on target.
+    Returns the plan; it is empty when the reference is already on target.
     """
     if not (0.0 <= r_t <= p_max and 0.0 <= r_target <= p_max):
         raise ValueError("references must lie in [0, p_max]")
     if abs(r_t - r_target) <= RESET_TOL:
-        return [], 0
+        return []
     eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
 
     def in_range(x: float) -> bool:
@@ -163,7 +162,7 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> tuple[list[f
             n -= 1
         final = base + n * r_target
         plan = [0.0] * n + [min(max(final, 0.0), p_max)]
-    return plan, len(plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +172,28 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> tuple[list[f
 
 @dataclass
 class LearnGreedyState:
-    """Projected one-point-gradient iteration for the greedy price at a fixed
-    reference.  Iterates live in [d, r_target - d]; the returned estimate is
-    the average of the iterates before each update."""
+    """Reset-then-perturb learner for the greedy price at a fixed reference.
+
+    Driven block by block like a policy: ``next_block(t, r)`` returns the
+    ``reset_ref`` plan towards r_target while the reference is off target,
+    and otherwise one price perturbed by +-d with a fair sign drawn from
+    ``rng``; ``observe(t, demands)`` takes the projected one-point-gradient
+    step after a learning round and counts the rounds posted after a reset.
+    Iterates live in [d, r_target - d]; the returned estimate is the average
+    of the iterates before each update.
+    """
 
     r_target: float
     d: float
     budget: int
     p_max: float
+    rng: np.random.Generator
     s: int = 1
     p_hat: float = field(init=False)
     sum_iterates: float = 0.0
+    reset_rounds: int = 0
+    # (kappa, price) of the learning round awaiting its demand.
+    pending: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.budget < 4:
@@ -196,12 +206,27 @@ class LearnGreedyState:
     def done(self) -> bool:
         return self.s > self.budget
 
-    def perturbed_price(self, kappa: float) -> float:
-        return self.p_hat + kappa * self.d
+    @property
+    def learn_rounds(self) -> int:
+        return self.s - 1
 
-    def update(self, price: float, demand: float, kappa: float) -> None:
+    def next_block(self, t: int, r: float) -> list[float]:
+        if abs(r - self.r_target) > RESET_TOL:
+            return reset_ref(t, r, self.r_target, self.p_max)
+        kappa = 1.0 if self.rng.random() < 0.5 else -1.0
+        price = self.p_hat + kappa * self.d
+        self.pending = (kappa, price)
+        return [price]
+
+    def observe(self, t: int, demands: Sequence[float]) -> None:
+        if self.pending is None:
+            # A reset plan, counted as posted: the horizon may cut it short.
+            self.reset_rounds += len(demands)
+            return
+        kappa, price = self.pending
+        self.pending = None
         self.sum_iterates += self.p_hat
-        g = price * demand * kappa / self.d
+        g = price * float(demands[0]) * kappa / self.d
         p = self.p_hat + g / (2.0 * self.p_max * self.s)
         self.p_hat = min(max(p, self.d), self.r_target - self.d)
         self.s += 1
@@ -210,53 +235,6 @@ class LearnGreedyState:
         if self.s == 1:
             return self.p_hat
         return self.sum_iterates / (self.s - 1)
-
-
-@dataclass
-class LearnGreedyResult:
-    estimate: float
-    rounds_used: int
-    learn_rounds: int
-    reset_rounds: int
-
-
-def learn_greedy(
-    env,
-    budget: int,
-    r_target: float,
-    p_ratio_bound: float,
-    rng: np.random.Generator,
-) -> LearnGreedyResult:
-    """Run the greedy-price learner against a pricing environment.
-
-    ``env`` posts prices and reports realized demand (see harness.SimEnv); the
-    learner resets the reference to r_target before every learning round, posts
-    one randomly perturbed price, and performs the projected gradient update.
-    Stops early when the environment's horizon runs out.
-    """
-    d = 0.5 * (r_target - p_ratio_bound)
-    state = LearnGreedyState(r_target=r_target, d=d, budget=budget, p_max=env.p_max)
-    start = env.t
-    reset_rounds = 0
-    while not state.done and env.t <= env.T:
-        if abs(env.r - r_target) > RESET_TOL:
-            plan, _ = reset_ref(env.t, env.r, r_target, env.p_max)
-            for q in plan:
-                if env.t > env.T:
-                    break
-                env.post(q)
-                reset_rounds += 1
-            continue
-        kappa = 1.0 if rng.random() < 0.5 else -1.0
-        price = state.perturbed_price(kappa)
-        demand = env.post(price)
-        state.update(price, demand, kappa)
-    return LearnGreedyResult(
-        estimate=state.estimate(),
-        rounds_used=env.t - start,
-        learn_rounds=state.s - 1,
-        reset_rounds=reset_rounds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +345,11 @@ def default_exploration_refs(p_max: float, p_ratio_bound: float) -> tuple[float,
 class LearnThenEarn(Policy):
     """Explore-then-exploit learner.
 
-    Learns greedy-price estimates at two reference targets (resetting the
-    reference before each learning round), solves the two-by-two linear system
-    for the policy parameter, and posts the markdown curve computed from p_max
-    at the entry round for the rest of the horizon.  Only p_max and
+    Learns greedy-price estimates at two reference targets with one
+    ``LearnGreedyState`` each, passing the current learner's blocks through
+    as they are; then solves the two-by-two linear system for the policy
+    parameter and posts the markdown curve computed from p_max at the entry
+    round for the rest of the horizon.  Only p_max and
     p_ratio_bound are used; the demand parameters stay hidden.
     """
 
@@ -395,21 +374,20 @@ class LearnThenEarn(Policy):
         self.p_max = p_max
         self.p_ratio_bound = p_ratio_bound
         self.T = T
-        self.rng = rng
         self.t1 = t1_budget if t1_budget is not None else default_t1_budget(p_max, T, c_t1)
         if self.t1 < 4:
             raise ValueError("exploration budget must be at least 4")
         self.learners = [
             LearnGreedyState(
-                r_target=target, d=0.5 * (target - p_ratio_bound), budget=self.t1, p_max=p_max
+                r_target=target,
+                d=0.5 * (target - p_ratio_bound),
+                budget=self.t1,
+                p_max=p_max,
+                rng=rng,
             )
             for target in (self.ra, self.rb)
         ]
         self.phase = 0
-        # (learner, kappa, price) of the learning round awaiting its demand.
-        self.pending: Optional[tuple[LearnGreedyState, float, float]] = None
-        self.reset_rounds = [0, 0]
-        self.learn_rounds = [0, 0]
         self.t2: Optional[int] = None
         self.theta_hat: Optional[PolicyParams] = None
         self.exploit_prices: Optional[np.ndarray] = None
@@ -419,27 +397,14 @@ class LearnThenEarn(Policy):
         while self.phase < 2 and self.learners[self.phase].done:
             self.phase += 1
         if self.phase < 2:
-            learner = self.learners[self.phase]
-            if abs(r - learner.r_target) > RESET_TOL:
-                plan, _ = reset_ref(t, r, learner.r_target, self.p_max)
-                return plan
-            kappa = 1.0 if self.rng.random() < 0.5 else -1.0
-            price = learner.perturbed_price(kappa)
-            self.pending = (learner, kappa, price)
-            return [price]
+            return self.learners[self.phase].next_block(t, r)
         if self.exploit_prices is None:
             self._start_exploit(t)
         return self.exploit_prices[t - self.t2 :]
 
     def observe(self, t: int, demands: Sequence[float]) -> None:
-        if self.pending is not None:
-            learner, kappa, price = self.pending
-            learner.update(price, float(demands[0]), kappa)
-            self.learn_rounds[self.phase] += 1
-            self.pending = None
-        elif self.t2 is None:
-            # A reset plan, counted as posted: the horizon may cut it short.
-            self.reset_rounds[self.phase] += len(demands)
+        if self.phase < 2:
+            self.learners[self.phase].observe(t, demands)
 
     def _start_exploit(self, t: int) -> None:
         p_a = self.learners[0].estimate()
@@ -473,14 +438,15 @@ class LearnThenEarn(Policy):
             self.exploit_prices = np.full(self.T - t + 1, self.p_max)
 
     def meta(self) -> dict:
+        reset_rounds = [learner.reset_rounds for learner in self.learners]
         out = {
             "t1_budget": self.t1,
             "ra": self.ra,
             "rb": self.rb,
             "t2": self.t2,
-            "reset_rounds": sum(self.reset_rounds),
-            "reset_rounds_by_phase": list(self.reset_rounds),
-            "learn_rounds_by_phase": list(self.learn_rounds),
+            "reset_rounds": sum(reset_rounds),
+            "reset_rounds_by_phase": reset_rounds,
+            "learn_rounds_by_phase": [learner.learn_rounds for learner in self.learners],
             "degenerate": self.degenerate,
             "p_hat_a": self.learners[0].estimate(),
             "p_hat_b": self.learners[1].estimate(),
@@ -518,6 +484,6 @@ def make_policy(
             t1_budget=spec.get("t1_budget"),
             ra=spec.get("ra"),
             rb=spec.get("rb"),
-            c_t1=float(spec.get("c_t1", 1.0)),
+            c_t1=1.0 if spec.get("c_t1") is None else float(spec["c_t1"]),
         )
     raise ValueError(f"unknown policy kind {kind!r}")

@@ -4,7 +4,8 @@ Each check pits a fast implementation against an independent slow oracle:
 dense linear solve vs the O(T) recursion, the backward-sweep markdown start vs
 linear scan, closed-form reset plans vs brute force, the one-point gradient
 estimate vs the analytic derivative, and the optimality-condition residual of
-solved curves.
+solved curves.  The slow oracles themselves (dense system, linear scan,
+brute-force reset) live here, outside the production path.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import (
-    FocSystem,
-    dense_solve,
+    SolverError,
+    curve_from_markdown_start,
+    dominance_margin,
     foc_residual,
-    linear_scan_markdown_start,
     solve_curve,
     solve_segment,
 )
@@ -34,6 +35,61 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class FocSystem:
+    """Dense form of the optimality conditions on [markdown_start, horizon].
+
+    Row/column k corresponds to round s_k = markdown_start + k; off-diagonal
+    entry (i, j) is -c1 / s_max(i,j) and the right-hand side is
+    c1 * markdown_start * r_md / s_k + c2.
+    """
+
+    markdown_start: int
+    horizon: int
+    theta: PolicyParams
+    r_md: float
+
+    @property
+    def n(self) -> int:
+        return self.horizon - self.markdown_start + 1
+
+    def rounds(self) -> np.ndarray:
+        return np.arange(self.markdown_start, self.horizon + 1, dtype=float)
+
+    def matrix(self) -> np.ndarray:
+        s = self.rounds()
+        a = -self.theta.c1 / np.maximum.outer(s, s)
+        np.fill_diagonal(a, 1.0)
+        return a
+
+    def rhs(self) -> np.ndarray:
+        s = self.rounds()
+        return self.theta.c1 * self.markdown_start * self.r_md / s + self.theta.c2
+
+    def dominance_margin(self) -> float:
+        return dominance_margin(self.theta.c1, self.markdown_start, self.horizon)
+
+
+def dense_solve(system: FocSystem) -> np.ndarray:
+    """Solve the dense system directly.  Test oracle; O(n^3), keep n small."""
+    if system.dominance_margin() <= 0.0:
+        raise SolverError("system is not strictly diagonally dominant")
+    return np.linalg.solve(system.matrix(), system.rhs())
+
+
+def linear_scan_markdown_start(
+    theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
+) -> int:
+    """Smallest feasible markdown start by exhaustive scan (test oracle)."""
+    for t_md in range(t_start, horizon + 1):
+        try:
+            if curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max) is not None:
+                return t_md
+        except SolverError:
+            continue
+    raise SolverError("no feasible markdown start found by linear scan")
 
 
 def random_instance(rng: np.random.Generator, symmetric: bool = True) -> Instance:
@@ -140,14 +196,14 @@ def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> Ch
         t = int(rng.integers(1, 500))
         r_t = rng.uniform(0.0, p_max)
         r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
-        plan, rounds = reset_ref(t, r_t, r_target, p_max)
+        plan = reset_ref(t, r_t, r_target, p_max)
         oracle_n = brute_force_reset(t, r_t, r_target, p_max)
         # An oracle miss counts as a mismatch; test it before using oracle_n.
         if oracle_n is None:
             bad += 1
             continue
         expect_rounds = 0 if abs(r_t - r_target) <= RESET_TOL else oracle_n + 1
-        if rounds != expect_rounds:
+        if len(plan) != expect_rounds:
             bad += 1
             continue
         total = t * r_t + sum(plan)

@@ -17,7 +17,6 @@ from refprice import (
     clairvoyant_value,
     curve_value,
     greedy_price,
-    learn_greedy,
     regret_sweep,
     run_episode,
     solve_curve,
@@ -26,6 +25,7 @@ from refprice import (
 )
 from refprice.cli import main as cli_main
 from refprice.harness import SimEnv
+from refprice.policies import LearnGreedyState
 from refprice.validate import (
     check_binary_vs_linear,
     check_dense_vs_recursion,
@@ -141,26 +141,40 @@ def test_c07_gradient_unbiasedness():
     report(7, res.passed, res.detail)
 
 
-def test_c08_learn_greedy_rate():
+def test_c08_greedy_learner_rate():
     start = time.perf_counter()
     inst = INST_GAP
     r_t = inst.p_ratio_bound + 0.5 * (inst.p_max - inst.p_ratio_bound)
+    d = 0.5 * (r_t - inst.p_ratio_bound)
     true_p = greedy_price(inst, r_t)
     noise = NoiseSpec.bounded_uniform(0.1)
     budgets = [100, 1000, 10000, 100000]
     errs = []
+    fewest_rounds = []
     for budget in budgets:
         per_seed = []
+        rounds = []
         for s in range(20):
             seed_rng = np.random.default_rng(1234 + s)
-            env = SimEnv(inst, noise, 4 * budget + 50, r_t, seed_rng, record=False)
-            res = learn_greedy(env, budget, r_t, inst.p_ratio_bound, seed_rng)
-            per_seed.append(abs(res.estimate - true_p))
+            # Room to spare: every seed reaches its full learning budget.
+            env = SimEnv(inst, noise, 10 * budget + 50, r_t, seed_rng, record=False)
+            learner = LearnGreedyState(r_target=r_t, d=d, budget=budget, p_max=inst.p_max, rng=seed_rng)
+            while not learner.done and env.t <= env.T:
+                block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
+                learner.observe(env.t, env.post_block(block))
+            per_seed.append(abs(learner.estimate() - true_p))
+            rounds.append(learner.learn_rounds)
         errs.append(float(np.mean(per_seed)))
+        fewest_rounds.append(min(rounds))
     slope = float(np.polyfit(np.log(budgets), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
     ok = -0.65 <= slope <= -0.35 and elapsed < 300.0
-    report(8, ok, f"error slope {slope:.3f} in [-0.65, -0.35], errors {np.round(errs, 4).tolist()}, {elapsed:.0f}s")
+    report(
+        8,
+        ok,
+        f"error slope {slope:.3f} in [-0.65, -0.35], errors {np.round(errs, 4).tolist()}, "
+        f"fewest learn rounds {fewest_rounds} of {budgets}, {elapsed:.0f}s",
+    )
 
 
 def test_c09_regret_rates():

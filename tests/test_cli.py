@@ -156,3 +156,40 @@ def test_policy_config_validation(tmp_path):
         load_config(path)
     path = write_config(tmp_path, {"policy": {"kind": "markdown_oracle", "theta": [0.17, 0.66]}})
     assert load_config(path).policy["theta"] == [0.17, 0.66]
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("default.yaml", "run.T=abc"),
+        ("default.yaml", "run.seeds=[1]"),
+        ("default.yaml", "run.r1=null"),
+        ("default.yaml", "run.T_list=[1000,abc]"),
+        ("default.yaml", "run.T=2.9"),
+        ("default.yaml", "run.seeds=true"),
+        ("default.yaml", "instance.a=true"),
+        ("learning_sweep.yaml", "policy.c_t1=abc"),
+        ("learning_sweep.yaml", "policy.t1_budget=40.5"),
+        ("learning_sweep.yaml", "policy.ra=[1]"),
+    ],
+)
+def test_malformed_value_exits_2(tmp_path, capsys, config, override):
+    out = tmp_path / "o7"
+    path = os.path.join(CONFIGS, config)
+    assert main(["solve", "--config", path, "--out", str(out), "run.T=1000", override]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_null_c_t1_means_default(tmp_path):
+    path = os.path.join(CONFIGS, "learning_sweep.yaml")
+    outs = []
+    for name, c_t1 in (("null", "null"), ("default", "1.0")):
+        out = tmp_path / name
+        args = ["simulate", "--config", path, "--out", str(out), "run.T=300", "run.seeds=2"]
+        assert main(args + [f"policy.c_t1={c_t1}"]) == 0
+        outs.append((out / "episodes.csv").read_bytes())
+    assert outs[0] == outs[1]

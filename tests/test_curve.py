@@ -4,25 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refprice import (
-    FocSystem,
     PolicyParams,
     PriceCurve,
     SolverError,
     curve_from_markdown_start,
     curve_value,
-    dense_solve,
     foc_residual,
     solve_curve,
     solve_segment,
     true_policy_params,
 )
-from refprice.curve import (
-    harmonic_range,
-    induced_references,
+from refprice.curve import harmonic_range, induced_references, segment_initial_price
+from refprice.validate import (
+    FocSystem,
+    check_curve_lipschitz,
+    dense_solve,
     linear_scan_markdown_start,
-    segment_initial_price,
+    random_instance,
+    random_theta,
 )
-from refprice.validate import check_curve_lipschitz, random_instance, random_theta
 
 
 def test_terminal_round_formula():

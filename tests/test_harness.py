@@ -138,6 +138,40 @@ def test_post_block_out_of_range_price(inst_symmetric, n):
             post(env)
 
 
+def test_reference_exact_over_long_horizon(inst_symmetric):
+    # The running total stays exact: after 10^6 prices the reference is the
+    # batch average of the start and every posted price.
+    inst = inst_symmetric
+    n, r1 = 10**6, 1.3
+    prices = np.random.default_rng(1).uniform(0.0, inst.p_max, size=n)
+    env = SimEnv(inst, NoiseSpec.none(), n, r1, np.random.default_rng(0), record=False)
+    env.post_block(prices)
+    assert env.t == n + 1
+    assert env.r == pytest.approx((r1 + prices.sum()) / (n + 1), rel=1e-12)
+
+
+def test_reference_permutation_invariant(inst_symmetric):
+    rng = np.random.default_rng(2)
+    prices = rng.uniform(0.0, inst_symmetric.p_max, size=500)
+    final = []
+    for order in (prices, rng.permutation(prices)):
+        env = SimEnv(inst_symmetric, NoiseSpec.none(), 500, 0.8, np.random.default_rng(0))
+        env.post_block(order)
+        final.append(env.r)
+    assert final[0] == pytest.approx(final[1], abs=1e-12)
+
+
+def test_reference_stays_in_range(inst_symmetric):
+    inst = inst_symmetric
+    prices = np.random.default_rng(4).uniform(0.0, inst.p_max, size=1000)
+    env = SimEnv(inst, NoiseSpec.none(), 1000, 0.5, np.random.default_rng(0))
+    env.post_block(prices)
+    assert np.all((0.0 <= env.refs) & (env.refs <= inst.p_max))
+    assert 0.0 <= env.r <= inst.p_max
+    with pytest.raises(ValueError):
+        SimEnv(inst, NoiseSpec.none(), 10, inst.p_max + 0.5, np.random.default_rng(0))
+
+
 def test_reset_rounds_count_posted_rounds():
     # The exploration phase outlasts T = 1000 and the last reset plan is cut
     # at the horizon: every round is a learn or a posted reset round.
@@ -236,13 +270,3 @@ def test_regret_sweep_rejects_empty(inst_symmetric):
     with pytest.raises(ValueError):
         regret_sweep(inst_symmetric, NoiseSpec.none(), {"kind": "optimal_fixed"}, [], 1, 0.0)
 
-
-def test_learn_then_earn_wrapper(inst_symmetric):
-    from refprice.harness import learn_then_earn
-
-    rec = learn_then_earn(
-        inst_symmetric, NoiseSpec.bounded_uniform(0.1), 2000, inst_symmetric.p_max, 5, c_t1=2.0
-    )
-    assert rec.policy_kind == "learn_then_earn"
-    assert rec.T == 2000
-    assert rec.meta["t2"] is not None

@@ -7,7 +7,6 @@ from refprice import (
     NoiseSpec,
     expected_demand,
     greedy_price,
-    learn_greedy,
     make_policy,
     myopic_greedy_step,
     optimal_fixed_price,
@@ -128,12 +127,12 @@ def test_myopic_greedy_grid_oracle(rng):
 
 
 def test_reset_ref_trivial():
-    assert reset_ref(5, 0.7, 0.7, 1.0) == ([], 0)
+    assert reset_ref(5, 0.7, 0.7, 1.0) == []
 
 
 def test_reset_ref_example():
-    plan, rounds = reset_ref(3, 0.5, 0.6, 1.0)
-    assert rounds == 1
+    plan = reset_ref(3, 0.5, 0.6, 1.0)
+    assert len(plan) == 1
     assert plan[0] == pytest.approx(0.9, abs=1e-12)
     assert (3 * 0.5 + plan[0]) / 4 == pytest.approx(0.6, abs=1e-15)
 
@@ -144,12 +143,12 @@ def test_reset_ref_matches_brute_force(rng):
         t = int(rng.integers(1, 400))
         r_t = rng.uniform(0.0, p_max)
         r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
-        plan, rounds = reset_ref(t, r_t, r_target, p_max)
+        plan = reset_ref(t, r_t, r_target, p_max)
         n_oracle = brute_force_reset(t, r_t, r_target, p_max)
         if abs(r_t - r_target) <= 1e-9:
-            assert rounds == 0
+            assert plan == []
             continue
-        assert rounds == n_oracle + 1
+        assert len(plan) == n_oracle + 1
         achieved = (t * r_t + sum(plan)) / (t + len(plan))
         assert achieved == pytest.approx(r_target, abs=1e-9)
         assert all(0.0 <= q <= p_max for q in plan)
@@ -181,27 +180,21 @@ def test_gradient_estimate_exact_under_enumerated_signs(inst_symmetric):
     assert avg == pytest.approx(analytic, abs=1e-12)
 
 
-def test_learn_greedy_iterates_stay_projected(inst_symmetric):
+def test_greedy_learner_iterates_stay_projected(inst_symmetric):
     inst = inst_symmetric
     r_target = 1.2
     d = 0.5 * (r_target - inst.p_ratio_bound)
     rng = np.random.default_rng(5)
     env = SimEnv(inst, NoiseSpec.gaussian(3.0), 3000, r_target, rng, record=True)
-    state = LearnGreedyState(r_target=r_target, d=d, budget=500, p_max=inst.p_max)
-    while not state.done and env.t <= env.T:
-        if abs(env.r - r_target) > 1e-9:
-            for q in reset_ref(env.t, env.r, r_target, inst.p_max)[0]:
-                env.post(q)
-            continue
-        kappa = 1.0 if rng.random() < 0.5 else -1.0
-        assert d <= state.p_hat <= r_target - d
-        price = state.perturbed_price(kappa)
-        demand = env.post(price)
-        state.update(price, demand, kappa)
-    assert d <= state.estimate() <= r_target - d
+    learner = LearnGreedyState(r_target=r_target, d=d, budget=500, p_max=inst.p_max, rng=rng)
+    while not learner.done and env.t <= env.T:
+        block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
+        learner.observe(env.t, env.post_block(block))
+        assert d <= learner.p_hat <= r_target - d
+    assert d <= learner.estimate() <= r_target - d
 
 
-def test_learn_greedy_converges_with_noise(inst_symmetric):
+def test_greedy_learner_converges_with_noise(inst_symmetric):
     inst = inst_symmetric
     r_target = 1.0 + 0.5 * (inst.p_max - 1.0)
     true_p = greedy_price(inst, r_target)
@@ -209,19 +202,20 @@ def test_learn_greedy_converges_with_noise(inst_symmetric):
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
         env = SimEnv(inst, NoiseSpec.bounded_uniform(0.1), 40000, r_target, rng, record=False)
-        res = learn_greedy(env, 8000, r_target, inst.p_ratio_bound, rng)
-        errs.append(abs(res.estimate - true_p))
-        assert res.learn_rounds == 8000
+        learner = LearnGreedyState(
+            r_target=r_target,
+            d=0.5 * (r_target - inst.p_ratio_bound),
+            budget=8000,
+            p_max=inst.p_max,
+            rng=rng,
+        )
+        while not learner.done:
+            block = learner.next_block(env.t, env.r)
+            learner.observe(env.t, env.post_block(block))
+        errs.append(abs(learner.estimate() - true_p))
+        assert learner.learn_rounds == 8000
+        assert learner.learn_rounds + learner.reset_rounds == env.t - 1
     assert np.mean(errs) < 0.08
-
-
-def test_learn_greedy_partial_budget(inst_symmetric):
-    inst = inst_symmetric
-    rng = np.random.default_rng(0)
-    env = SimEnv(inst, NoiseSpec.none(), 50, 1.2, rng, record=False)
-    res = learn_greedy(env, 10000, 1.2, inst.p_ratio_bound, rng)
-    assert res.learn_rounds < 10000
-    assert res.rounds_used <= 50
 
 
 # ---------------------------------------------------------------------------
