@@ -36,7 +36,6 @@ from .model import (
 from .policies import (
     LearnGreedyState,
     LearnThenEarn,
-    MarkdownOracle,
     make_policy,
     myopic_greedy_step,
     optimal_fixed_price,
@@ -50,7 +49,6 @@ __all__ = [
     "Instance",
     "LearnGreedyState",
     "LearnThenEarn",
-    "MarkdownOracle",
     "NoiseSpec",
     "PolicyParams",
     "PriceCurve",

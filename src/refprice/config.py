@@ -114,7 +114,7 @@ def _parse_noise(raw) -> NoiseSpec:
 def _parse_policy(raw, inst: Instance) -> dict:
     block = _require_mapping(raw, "policy")
     kind = block.get("kind")
-    if kind not in _POLICY_KEYS:
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
         raise ConfigError(f"unknown policy kind {kind!r}; choose one of {sorted(_POLICY_KEYS)}")
     _check_keys(block, _POLICY_KEYS[kind] | {"kind"}, "policy")
     spec = dict(block)
@@ -187,7 +187,11 @@ def _parse_run(raw, inst: Instance) -> RunConfig:
     run.r1 = _number(block.get("r1", 0.0), "r1")
     if not (0.0 <= run.r1 <= inst.p_max):
         raise ConfigError(f"r1 {run.r1} outside [0, {inst.p_max}]")
-    run.out_dir = str(block.get("out_dir", "out"))
+    # A null out_dir means the default directory.
+    if block.get("out_dir") is not None:
+        if isinstance(block["out_dir"], (bool, list, dict)):
+            raise ConfigError(f"out_dir must be a path, got {block['out_dir']!r}")
+        run.out_dir = str(block["out_dir"])
     run.threads = _integer(block.get("threads", 1), "threads")
     if run.threads < 1:
         raise ConfigError("threads must be at least 1")
@@ -237,12 +241,13 @@ def load_config(path, overrides=(), env=None) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config {path} is empty")
+    data = _require_mapping(data, "top-level")
     if SEED_ENV_VAR in env:
         try:
             seed = int(env[SEED_ENV_VAR])
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-        data.setdefault("run", {})["base_seed"] = seed
+        _require_mapping(data.setdefault("run", {}), "run")["base_seed"] = seed
     data = _apply_overrides(data, overrides)
     return parse_config(data)
 

@@ -18,15 +18,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import curve_value, solve_curve
-from .model import (
-    Instance,
-    NoiseSpec,
-    expected_demand,
-    expected_demand_vec,
-    true_policy_params,
-)
-from .policies import Policy, make_policy
+from .curve import curve_value
+from .model import Instance, NoiseSpec, expected_demand, expected_demand_vec
+from .policies import Policy, make_policy, markdown_curve
 
 # Blocks shorter than this go through the scalar ``post``: one numpy block
 # costs about as much as 7 scalar rounds.
@@ -42,7 +36,9 @@ class SimEnv:
     The reference follows the running-average dynamics, kept as an exact
     (sum, count) pair.  ``post`` posts one round and returns its realized
     demand; ``post_block`` posts a run of rounds with the same arithmetic and
-    the same random draws.  Prices outside [0, p_max] are a hard failure.
+    the same random draws.  Every round's price, reference and demand are
+    kept in ``prices``, ``refs`` and ``demands``.  Prices outside [0, p_max]
+    are a hard failure.
     """
 
     def __init__(
@@ -52,7 +48,6 @@ class SimEnv:
         T: int,
         r1: float,
         rng: np.random.Generator,
-        record: bool = True,
     ):
         if not (0.0 <= r1 <= inst.p_max):
             raise ValueError(f"r1 {r1} outside [0, {inst.p_max}]")
@@ -64,11 +59,9 @@ class SimEnv:
         self._count = 1
         self._total = r1
         self._r = r1
-        self.record = record
-        if record:
-            self.prices = np.empty(T)
-            self.refs = np.empty(T)
-            self.demands = np.empty(T)
+        self.prices = np.empty(T)
+        self.refs = np.empty(T)
+        self.demands = np.empty(T)
 
     @property
     def r(self) -> float:
@@ -79,11 +72,10 @@ class SimEnv:
             raise RuntimeError("episode horizon exhausted")
         expected = expected_demand(self.inst, price, self._r)
         demand = expected + self.noise.draw(self.rng)
-        if self.record:
-            i = self.t - 1
-            self.prices[i] = price
-            self.refs[i] = self._r
-            self.demands[i] = demand
+        i = self.t - 1
+        self.prices[i] = price
+        self.refs[i] = self._r
+        self.demands[i] = demand
         self._total += price
         self._count += 1
         self._r = self._total / self._count
@@ -104,7 +96,7 @@ class SimEnv:
         if self.t + n - 1 > self.T:
             raise RuntimeError("episode horizon exhausted")
         prices = np.asarray(prices, dtype=float)
-        out = self.demands[self.t - 1 : self.t - 1 + n] if self.record else np.empty(n)
+        out = self.demands[self.t - 1 : self.t - 1 + n]
         acc = np.empty(BLOCK_CHUNK + 1)
         for lo in range(0, n, BLOCK_CHUNK):
             p = prices[lo : lo + BLOCK_CHUNK]
@@ -116,10 +108,9 @@ class SimEnv:
             refs = totals[:-1] / np.arange(self._count, self._count + m, dtype=float)
             demand = expected_demand_vec(self.inst, p, refs) + self.noise.draw_array(self.rng, m)
             out[lo : lo + m] = demand
-            if self.record:
-                i = self.t - 1
-                self.prices[i : i + m] = p
-                self.refs[i : i + m] = refs
+            i = self.t - 1
+            self.prices[i : i + m] = p
+            self.refs[i : i + m] = refs
             self._total = float(totals[-1])
             self._count += m
             self._r = self._total / self._count
@@ -195,7 +186,7 @@ def run_episode(
     rng = np.random.default_rng(seed)
     if isinstance(policy, dict):
         policy = make_policy(policy, inst, T, r1, rng)
-    env = SimEnv(inst, noise, T, r1, rng, record=True)
+    env = SimEnv(inst, noise, T, r1, rng)
     while env.t <= T:
         t = env.t
         block = policy.next_block(t, env.r)[: T - t + 1]
@@ -213,12 +204,7 @@ def baseline_kind(inst: Instance) -> str:
 
 @functools.lru_cache(maxsize=128)
 def _clairvoyant_cached(inst: Instance, r1: float, T: int) -> float:
-    theta = true_policy_params(inst)
-    if inst.symmetric:
-        curve = solve_curve(theta, r1, 1, T, inst.p_max)
-        return curve_value(inst, curve, r1)
-    curve = solve_curve(theta, inst.p_max, 1, T, inst.p_max)
-    return curve_value(inst, curve, r1)
+    return curve_value(inst, markdown_curve(inst, r1, T), r1)
 
 
 def clairvoyant_value(inst: Instance, r1: float, T: int) -> float:
@@ -324,54 +310,56 @@ def fit_loglog_slope(records: Sequence[RegretRecord]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _write_csv(path, meta: dict, header: str, blocks, footer=()) -> None:
+    """Write the ``# key=value`` lines of ``meta`` in key order, the header,
+    each block's equal-length columns as rows, then the ``footer`` lines.
+
+    A cell is ``repr`` of the column's ``.tolist()`` entry: ints print as
+    ints, floats in their shortest round-trip form.  Rows go to the file as
+    they are formatted.
+    """
+    with open(path, "w") as f:
+        for key, value in sorted(meta.items()):
+            f.write(f"# {key}={value}\n")
+        f.write(header + "\n")
+        for columns in blocks:
+            cells = [np.asarray(column).tolist() for column in columns]
+            f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+        for line in footer:
+            f.write(line + "\n")
 
 
 def write_episodes_csv(records: Sequence[EpisodeRecord], path) -> None:
-    lines = []
-    for key, value in sorted(_episodes_meta(records).items()):
-        lines.append(f"# {key}={value}")
-    lines.append("episode,seed,t,price,reference,demand,expected_revenue,realized_revenue")
-    for i, rec in enumerate(records):
-        for j in range(rec.T):
-            lines.append(
-                ",".join(
-                    [
-                        str(i),
-                        str(rec.seed),
-                        str(int(rec.t[j])),
-                        _fmt(rec.price[j]),
-                        _fmt(rec.reference[j]),
-                        _fmt(rec.demand[j]),
-                        _fmt(rec.expected_revenue[j]),
-                        _fmt(rec.realized_revenue[j]),
-                    ]
-                )
-            )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _episodes_meta(records: Sequence[EpisodeRecord]) -> dict:
-    if not records:
-        return {}
-    rec = records[0]
-    inst = rec.instance
-    meta = {
-        "policy": rec.policy_kind,
-        "T": rec.T,
-        "r1": _fmt(rec.r1),
-        "episodes": len(records),
-        "instance": f"a={inst.a!r} b={inst.b!r} eta_plus={inst.eta_plus!r} "
-        f"eta_minus={inst.eta_minus!r} p_max={inst.p_max!r} p_ratio_bound={inst.p_ratio_bound!r}",
-    }
-    for key in ("t1_budget", "ra", "rb", "t2", "reset_rounds", "degenerate"):
-        if key in rec.meta:
-            meta[f"policy_{key}"] = rec.meta[key]
-    return meta
+    meta = {}
+    if records:
+        rec = records[0]
+        inst = rec.instance
+        meta = {
+            "policy": rec.policy_kind,
+            "T": rec.T,
+            "r1": rec.r1,
+            "episodes": len(records),
+            "instance": f"a={inst.a!r} b={inst.b!r} eta_plus={inst.eta_plus!r} "
+            f"eta_minus={inst.eta_minus!r} p_max={inst.p_max!r} p_ratio_bound={inst.p_ratio_bound!r}",
+        }
+        for key in ("t1_budget", "ra", "rb", "t2", "reset_rounds", "degenerate"):
+            if key in rec.meta:
+                meta[f"policy_{key}"] = rec.meta[key]
+    blocks = (
+        (
+            np.full(rec.T, i),
+            np.full(rec.T, rec.seed),
+            rec.t,
+            rec.price,
+            rec.reference,
+            rec.demand,
+            rec.expected_revenue,
+            rec.realized_revenue,
+        )
+        for i, rec in enumerate(records)
+    )
+    header = "episode,seed,t,price,reference,demand,expected_revenue,realized_revenue"
+    _write_csv(path, meta, header, blocks)
 
 
 def write_regret_csv(
@@ -380,35 +368,24 @@ def write_regret_csv(
     path,
     extra_meta: Optional[dict] = None,
 ) -> None:
-    lines = []
-    meta = dict(extra_meta or {})
-    for key, value in sorted(meta.items()):
-        lines.append(f"# {key}={value}")
-    lines.append("T,n_seeds,mean_regret,stderr,baseline_value,policy_value_mean,flagged")
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.T),
-                    str(r.n_seeds),
-                    _fmt(r.mean_regret),
-                    _fmt(r.stderr),
-                    _fmt(r.baseline_value),
-                    _fmt(r.policy_value_mean),
-                    str(int(r.flagged)),
-                ]
-            )
-        )
-    lines.append(f"# slope={_fmt(slope) if slope is not None else 'nan'}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    columns = [
+        [r.T for r in records],
+        [r.n_seeds for r in records],
+        [r.mean_regret for r in records],
+        [r.stderr for r in records],
+        [r.baseline_value for r in records],
+        [r.policy_value_mean for r in records],
+        [int(r.flagged) for r in records],
+    ]
+    _write_csv(
+        path,
+        extra_meta or {},
+        "T,n_seeds,mean_regret,stderr,baseline_value,policy_value_mean,flagged",
+        [columns],
+        footer=[f"# slope={'nan' if slope is None else float(slope)}"],
+    )
 
 
 def write_curve_csv(curve, path) -> None:
-    lines = ["t,price,reference"]
-    for i in range(len(curve.prices)):
-        lines.append(
-            ",".join([str(curve.t_start + i), _fmt(curve.prices[i]), _fmt(curve.refs[i])])
-        )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    t = np.arange(curve.t_start, curve.t_start + len(curve.prices))
+    _write_csv(path, {}, "t,price,reference", [(t, curve.prices, curve.refs)])

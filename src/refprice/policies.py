@@ -6,9 +6,10 @@ A policy is a single-episode object driven block by block:
 ``next_block(t, r)`` returns the run of prices to post from round t on, given
 the current reference r, and ``observe(t, demands)`` feeds back the realized
 demands of the rounds actually posted (the harness cuts a block at the
-horizon).  Policies whose whole price path is fixed in advance return it in
-one block; the learner returns a reset plan, a single learning price, or its
-exploitation tail.
+horizon).  The planned kinds are price paths fixed before the episode
+starts: ``make_policy`` builds each path and one ``PlannedPolicy`` posts it
+in one block.  The learner returns a reset plan, a single learning price, or
+its exploitation tail.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import SolverError, harmonic_range, solve_curve
+from .curve import PriceCurve, SolverError, harmonic_range, solve_curve
 from .model import Instance, PolicyParams, revenue, true_policy_params
 
 # A reference counts as "on target" when within this absolute tolerance; the
@@ -263,72 +264,43 @@ class Policy:
 class PlannedPolicy(Policy):
     """A price path fixed before the episode starts, posted as one block."""
 
-    def __init__(self, prices: np.ndarray):
+    def __init__(self, kind: str, prices: np.ndarray):
+        self.kind = kind
         self.prices = prices
 
     def next_block(self, t: int, r: float) -> np.ndarray:
         return self.prices[t - 1 :]
 
 
-class FixedPrice(PlannedPolicy):
-    kind = "fixed"
-
-    def __init__(self, price: float, T: int):
-        super().__init__(np.full(T, price))
-
-
-class OptimalFixed(FixedPrice):
-    kind = "optimal_fixed"
-
-    def __init__(self, inst: Instance, r1: float, T: int):
-        super().__init__(optimal_fixed_price(inst, r1, T), T)
-
-
-class TwoPrice(PlannedPolicy):
-    kind = "two_price"
-
-    def __init__(self, inst: Instance, alpha: float, T: int):
-        p_u, p_d, switch = two_price_policy(inst, alpha, T)
-        prices = np.full(T, p_d)
-        prices[:switch] = p_u
-        super().__init__(prices)
-
-
-class MyopicGreedy(PlannedPolicy):
-    """Posts the single-round revenue maximizer at every round.
+def myopic_greedy_path(inst: Instance, r1: float, T: int) -> np.ndarray:
+    """The single-round revenue maximizer at every round.
 
     Its prices never depend on demand, so the whole path is rolled up front
     with the simulator's exact running total: the reference after round t is
     (r1 + p_1 + ... + p_t) / (t + 1), summed in order.
     """
-
-    kind = "myopic_greedy"
-
-    def __init__(self, inst: Instance, r1: float, T: int):
-        prices = []
-        total, r = r1, r1
-        for count in range(2, T + 2):
-            p = myopic_greedy_step(inst, r)
-            prices.append(p)
-            total += p
-            r = total / count
-        super().__init__(np.array(prices))
+    prices = []
+    total, r = r1, r1
+    for count in range(2, T + 2):
+        p = myopic_greedy_step(inst, r)
+        prices.append(p)
+        total += p
+        r = total / count
+    return np.array(prices)
 
 
-class MarkdownOracle(PlannedPolicy):
-    """Posts the precomputed markdown curve.
+def markdown_curve(
+    inst: Instance, r1: float, T: int, theta: Optional[PolicyParams] = None
+) -> PriceCurve:
+    """The markdown curve over rounds 1..T for an episode starting at r1.
 
     With symmetric effects the curve is computed from the episode's actual
     starting reference (the exact optimum); otherwise from p_max, the
     near-optimal choice, and posted against whatever reference realizes.
     """
-
-    kind = "markdown_oracle"
-
-    def __init__(self, inst: Instance, r1: float, T: int, theta: Optional[PolicyParams] = None):
-        theta = theta if theta is not None else true_policy_params(inst)
-        r_start = r1 if inst.symmetric else inst.p_max
-        super().__init__(solve_curve(theta, r_start, 1, T, inst.p_max).prices)
+    theta = theta if theta is not None else true_policy_params(inst)
+    r_start = r1 if inst.symmetric else inst.p_max
+    return solve_curve(theta, r_start, 1, T, inst.p_max)
 
 
 def default_t1_budget(p_max: float, T: int, c: float = 1.0) -> int:
@@ -463,18 +435,21 @@ def make_policy(
     """Build a fresh single-episode policy from a config-style mapping."""
     kind = spec["kind"]
     if kind == "fixed":
-        return FixedPrice(float(spec["price"]), T)
+        return PlannedPolicy(kind, np.full(T, float(spec["price"])))
     if kind == "optimal_fixed":
-        return OptimalFixed(inst, r1, T)
+        return PlannedPolicy(kind, np.full(T, optimal_fixed_price(inst, r1, T)))
     if kind == "two_price":
-        return TwoPrice(inst, float(spec["alpha"]), T)
+        p_u, p_d, switch = two_price_policy(inst, float(spec["alpha"]), T)
+        prices = np.full(T, p_d)
+        prices[:switch] = p_u
+        return PlannedPolicy(kind, prices)
     if kind == "myopic_greedy":
-        return MyopicGreedy(inst, r1, T)
+        return PlannedPolicy(kind, myopic_greedy_path(inst, r1, T))
     if kind == "markdown_oracle":
         theta = spec.get("theta")
         if theta is not None:
             theta = PolicyParams(float(theta[0]), float(theta[1]))
-        return MarkdownOracle(inst, r1, T, theta)
+        return PlannedPolicy(kind, markdown_curve(inst, r1, T, theta).prices)
     if kind == "learn_then_earn":
         return LearnThenEarn(
             inst.p_max,

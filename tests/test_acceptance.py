@@ -157,7 +157,7 @@ def test_c08_greedy_learner_rate():
         for s in range(20):
             seed_rng = np.random.default_rng(1234 + s)
             # Room to spare: every seed reaches its full learning budget.
-            env = SimEnv(inst, noise, 10 * budget + 50, r_t, seed_rng, record=False)
+            env = SimEnv(inst, noise, 10 * budget + 50, r_t, seed_rng)
             learner = LearnGreedyState(r_target=r_t, d=d, budget=budget, p_max=inst.p_max, rng=seed_rng)
             while not learner.done and env.t <= env.T:
                 block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]

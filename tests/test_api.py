@@ -9,7 +9,6 @@ PUBLIC = [
     "Instance",
     "LearnGreedyState",
     "LearnThenEarn",
-    "MarkdownOracle",
     "NoiseSpec",
     "PolicyParams",
     "PriceCurve",

@@ -5,7 +5,13 @@ import pytest
 import yaml
 
 from refprice.cli import main
-from refprice.config import ConfigError, config_to_dict, load_config, parse_config
+from refprice.config import (
+    SEED_ENV_VAR,
+    ConfigError,
+    config_to_dict,
+    load_config,
+    parse_config,
+)
 
 BASE = {
     "instance": {
@@ -160,6 +166,10 @@ def test_policy_config_validation(tmp_path):
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
+# Configs that are not a mapping at the top level or in the run block.
+TOP_LEVEL_LIST = "- 1\n- 2\n"
+RUN_LIST = "run: [1]\n"
+
 
 @pytest.mark.parametrize(
     "config, override",
@@ -171,17 +181,42 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         ("default.yaml", "run.T=2.9"),
         ("default.yaml", "run.seeds=true"),
         ("default.yaml", "instance.a=true"),
+        ("default.yaml", "run.out_dir=[a]"),
+        ("default.yaml", "run.out_dir={a: 1}"),
+        ("default.yaml", "run.out_dir=true"),
+        ("default.yaml", "policy.kind=[1]"),
         ("learning_sweep.yaml", "policy.c_t1=abc"),
         ("learning_sweep.yaml", "policy.t1_budget=40.5"),
         ("learning_sweep.yaml", "policy.ra=[1]"),
+        (TOP_LEVEL_LIST, "run.seeds=2"),
+        (TOP_LEVEL_LIST, f"{SEED_ENV_VAR}=3"),
+        (RUN_LIST, f"{SEED_ENV_VAR}=3"),
     ],
 )
-def test_malformed_value_exits_2(tmp_path, capsys, config, override):
+def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, config, override):
+    """``config`` names a file under configs/ or is the YAML text itself; an
+    override of the seed variable is set in the environment instead."""
     out = tmp_path / "o7"
     path = os.path.join(CONFIGS, config)
-    assert main(["solve", "--config", path, "--out", str(out), "run.T=1000", override]) == 2
+    if "\n" in config:
+        path = tmp_path / "inline.yaml"
+        path.write_text(config)
+    args = ["solve", "--config", str(path), "--out", str(out), "run.T=1000"]
+    if override.startswith(f"{SEED_ENV_VAR}="):
+        monkeypatch.setenv(*override.split("=", 1))
+    else:
+        args.append(override)
+    assert main(args) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+def test_null_out_dir_means_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join(os.path.abspath(CONFIGS), "default.yaml")
+    assert main(["solve", "--config", path, "run.T=50", "run.out_dir=null"]) == 0
+    assert (tmp_path / "out" / "curve.csv").exists()
+    assert not (tmp_path / "None").exists()
 
 
 def test_null_c_t1_means_default(tmp_path):

@@ -1,0 +1,66 @@
+"""CSV outputs pinned byte for byte.
+
+The digests are sha256s of the files the CLI writes, recorded before the
+writers went column-wise.  They pin the layout as well as the numbers: the
+sorted ``# key=value`` lines, the header, ints printed as ints, floats in
+their shortest round-trip form, and the trailing ``# slope=`` line.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from refprice.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# name -> (command, config, overrides, output file, sha256)
+CASES = {
+    "curve": (
+        "solve",
+        "default.yaml",
+        ["run.T=2000"],
+        "curve.csv",
+        "2b49c14e6e98912886596258191c25691d8c38fefec973cc732b478fdfa9684b",
+    ),
+    "episodes_two_price": (
+        "simulate",
+        "two_price_gap.yaml",
+        ["run.T=3000", "run.seeds=2", "noise.kind=bounded_uniform", "noise.half_width=0.1"],
+        "episodes.csv",
+        "02968e4b50469b5fe96b222d65fe2112ce8d545012eb28393b159a5c1e652a7d",
+    ),
+    # The default budget constant reaches the exploit phase (t2 is set).
+    "episodes_learner_t2": (
+        "simulate",
+        "learning_sweep.yaml",
+        ["run.T=3000", "run.seeds=1", "policy.c_t1=null"],
+        "episodes.csv",
+        "95d7ec34bf0508a1c9d1b4cf9e60be1a7909907876f5195b36d8ce8eb648c29e",
+    ),
+    # The horizon ends during exploration (t2=None).
+    "episodes_learner_no_t2": (
+        "simulate",
+        "learning_sweep.yaml",
+        ["run.T=1000", "run.seeds=1"],
+        "episodes.csv",
+        "abde991396c8f07d74c663f7e03a7e601e5dc0ac8395fce4c8c1031db6efb132",
+    ),
+    "regret": (
+        "sweep",
+        "learning_sweep.yaml",
+        ["run.T_list=[300,1000]", "run.seeds=3"],
+        "regret.csv",
+        "ba67fe204a85ea320266e63c6c6e576472647489417949b66a33631e41849c05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_matches_golden(tmp_path, name):
+    command, config, overrides, filename, digest = CASES[name]
+    args = [command, "--config", os.path.join(CONFIGS, config), "--out", str(tmp_path)]
+    assert main(args + overrides) == 0
+    data = (tmp_path / filename).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

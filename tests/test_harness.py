@@ -106,15 +106,14 @@ INST = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4.0 / 3.0, p_ra
         max_size=4,
     ),
     r_share=st.floats(0.0, 1.0),
-    record=st.booleans(),
 )
-def test_post_block_matches_scalar_post(seed, noise, blocks, r_share, record):
+def test_post_block_matches_scalar_post(seed, noise, blocks, r_share):
     inst = INST
     T = sum(blocks)
     prices = np.random.default_rng(seed).uniform(0.0, inst.p_max, T)
     r1 = r_share * inst.p_max
-    block = SimEnv(inst, noise, T, r1, np.random.default_rng(seed), record=record)
-    scalar = SimEnv(inst, noise, T, r1, np.random.default_rng(seed), record=True)
+    block = SimEnv(inst, noise, T, r1, np.random.default_rng(seed))
+    scalar = SimEnv(inst, noise, T, r1, np.random.default_rng(seed))
     lo = 0
     for n in blocks:
         demands = block.post_block(prices[lo : lo + n])
@@ -122,10 +121,9 @@ def test_post_block_matches_scalar_post(seed, noise, blocks, r_share, record):
         assert block.r == scalar.r and block.t == scalar.t
         lo += n
     assert block.rng.bit_generator.state == scalar.rng.bit_generator.state
-    if record:
-        assert np.array_equal(block.prices, scalar.prices)
-        assert np.array_equal(block.refs, scalar.refs)
-        assert np.array_equal(block.demands, scalar.demands)
+    assert np.array_equal(block.prices, scalar.prices)
+    assert np.array_equal(block.refs, scalar.refs)
+    assert np.array_equal(block.demands, scalar.demands)
 
 
 @pytest.mark.parametrize("n", [BLOCK_CUTOVER - 1, BLOCK_CUTOVER, BLOCK_CHUNK + 1])
@@ -144,7 +142,7 @@ def test_reference_exact_over_long_horizon(inst_symmetric):
     inst = inst_symmetric
     n, r1 = 10**6, 1.3
     prices = np.random.default_rng(1).uniform(0.0, inst.p_max, size=n)
-    env = SimEnv(inst, NoiseSpec.none(), n, r1, np.random.default_rng(0), record=False)
+    env = SimEnv(inst, NoiseSpec.none(), n, r1, np.random.default_rng(0))
     env.post_block(prices)
     assert env.t == n + 1
     assert env.r == pytest.approx((r1 + prices.sum()) / (n + 1), rel=1e-12)

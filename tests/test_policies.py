@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refprice import (
     Instance,
@@ -20,6 +22,7 @@ from refprice import (
 from refprice.curve import harmonic_range
 from refprice.harness import SimEnv
 from refprice.policies import (
+    RESET_TOL,
     LearnGreedyState,
     LearnThenEarn,
     fixed_price_value,
@@ -137,21 +140,27 @@ def test_reset_ref_example():
     assert (3 * 0.5 + plan[0]) / 4 == pytest.approx(0.6, abs=1e-15)
 
 
-def test_reset_ref_matches_brute_force(rng):
-    for _ in range(300):
-        p_max = rng.uniform(0.5, 2.0)
-        t = int(rng.integers(1, 400))
-        r_t = rng.uniform(0.0, p_max)
-        r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
-        plan = reset_ref(t, r_t, r_target, p_max)
-        n_oracle = brute_force_reset(t, r_t, r_target, p_max)
-        if abs(r_t - r_target) <= 1e-9:
-            assert plan == []
-            continue
-        assert len(plan) == n_oracle + 1
-        achieved = (t * r_t + sum(plan)) / (t + len(plan))
-        assert achieved == pytest.approx(r_target, abs=1e-9)
-        assert all(0.0 <= q <= p_max for q in plan)
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(
+    p_max=st.floats(0.5, 2.0),
+    t=st.integers(1, 2000),
+    r_share=st.floats(0.0, 1.0),
+    target_share=st.floats(0.05, 0.95),
+)
+def test_reset_ref_matches_brute_force(p_max, t, r_share, target_share):
+    # Every plan stays in [0, p_max], lands on the target and is as short as
+    # the brute force allows.  The brute force only searches up to the plan's
+    # length: its default cap runs out for targets near 0.
+    r_t = r_share * p_max
+    r_target = target_share * p_max
+    plan = reset_ref(t, r_t, r_target, p_max)
+    assert all(0.0 <= q <= p_max for q in plan)
+    achieved = (t * r_t + sum(plan)) / (t + len(plan))
+    assert abs(achieved - r_target) <= RESET_TOL
+    if abs(r_t - r_target) <= RESET_TOL:
+        assert plan == []
+    else:
+        assert brute_force_reset(t, r_t, r_target, p_max, n_max=len(plan)) == len(plan) - 1
 
 
 def test_reset_ref_unreachable_targets():
@@ -185,7 +194,7 @@ def test_greedy_learner_iterates_stay_projected(inst_symmetric):
     r_target = 1.2
     d = 0.5 * (r_target - inst.p_ratio_bound)
     rng = np.random.default_rng(5)
-    env = SimEnv(inst, NoiseSpec.gaussian(3.0), 3000, r_target, rng, record=True)
+    env = SimEnv(inst, NoiseSpec.gaussian(3.0), 3000, r_target, rng)
     learner = LearnGreedyState(r_target=r_target, d=d, budget=500, p_max=inst.p_max, rng=rng)
     while not learner.done and env.t <= env.T:
         block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
@@ -201,7 +210,7 @@ def test_greedy_learner_converges_with_noise(inst_symmetric):
     errs = []
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
-        env = SimEnv(inst, NoiseSpec.bounded_uniform(0.1), 40000, r_target, rng, record=False)
+        env = SimEnv(inst, NoiseSpec.bounded_uniform(0.1), 40000, r_target, rng)
         learner = LearnGreedyState(
             r_target=r_target,
             d=0.5 * (r_target - inst.p_ratio_bound),
