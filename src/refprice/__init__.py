@@ -8,11 +8,9 @@ curves, baseline and learning pricing policies, and a seeded regret harness.
 from .curve import (
     PriceCurve,
     SolverError,
-    curve_from_markdown_start,
     curve_value,
     foc_residual,
     solve_curve,
-    solve_segment,
 )
 from .harness import (
     EpisodeRecord,
@@ -56,7 +54,6 @@ __all__ = [
     "SimEnv",
     "SolverError",
     "clairvoyant_value",
-    "curve_from_markdown_start",
     "curve_value",
     "expected_demand",
     "foc_residual",
@@ -70,7 +67,6 @@ __all__ = [
     "run_episode",
     "sample_demand",
     "solve_curve",
-    "solve_segment",
     "true_policy_params",
     "two_price_policy",
 ]

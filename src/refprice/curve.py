@@ -7,22 +7,22 @@ condition
     p_t = c2 + c1 * (r_t + sum_{s > t} p_s / s),      t in [markdown_start, T],
 
 where r_t is the running-average reference induced by the curve itself.  The
-segment is the solution of a dense linear system; it is computed here in O(T)
-by rolling the equivalent one-step rule
+condition is equivalent to the one-step rule
+p_{t+1} = p_t - c1 * r_t / (t + 1 + c1) with the final-round condition
+p_T = c1 * r_T + c2.  Both are linear in the state x_t = (p_t, S_t), where
+S_t = t * r_t is the running total of prices:
 
-    p_{t+1} = p_t - c1 * r_t / (t + 1 + c1)
+    x_{t+1} = M_t x_t,      M_t = [[1, -c1 / (t (t + 1 + c1))], [1, 1]],
 
-forward from an initial price chosen so the final-round condition
-p_T = c1 * r_T + c2 holds.  ``markdown_start`` is the first round whose
-initial price is feasible, found for all candidate rounds at once by pulling
-that final-round condition back in one backward sweep.
+so a whole solve is a product of 2x2 maps.  ``solve_curve`` forms those
+products with log-depth doubling scans in numpy, ``CHUNK`` rounds at a time,
+and never loops over rounds in Python.  The scalar recursion it replaced lives
+on in ``refprice.validate`` as the oracle for the scan.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .model import Instance, PolicyParams, expected_demand_vec
 # Initial prices within this distance of the [0, p_max] boundary still count
 # as feasible; they are snapped onto the boundary.
 FEASIBILITY_TOL = 1e-12
+
+# Rounds per chunk of a scan: temporaries stay O(CHUNK) whatever the horizon.
+CHUNK = 1 << 14
 
 
 class SolverError(RuntimeError):
@@ -42,12 +45,6 @@ def harmonic_range(lo: int, hi: int) -> float:
     if hi < lo:
         return 0.0
     return float(np.sum(1.0 / np.arange(lo, hi + 1, dtype=float)))
-
-
-def dominance_margin(c1: float, markdown_start: int, horizon: int) -> float:
-    """1 - c1 * sum_{s=markdown_start+1}^{horizon} 1/s; positive iff the curve
-    system is strictly diagonally dominant."""
-    return 1.0 - c1 * harmonic_range(markdown_start + 1, horizon)
 
 
 @dataclass
@@ -72,155 +69,132 @@ class PriceCurve:
         return self.t_start + len(self.prices) - 1
 
 
-def segment_initial_price(
-    theta: PolicyParams, r_md: float, markdown_start: int, horizon: int
-) -> float:
-    """Initial price of the optimality segment on [markdown_start, horizon].
-
-    Every quantity along the one-step rule is affine in the unknown initial
-    price, so one forward pass with coefficient pairs pins it from the
-    final-round condition p_T = c1*r_T + c2.
-    """
-    c1, c2 = theta.c1, theta.c2
-    if markdown_start == horizon:
-        return c1 * r_md + c2
-    if dominance_margin(c1, markdown_start, horizon) <= 0.0:
-        raise SolverError(
-            "curve system on [%d, %d] is not diagonally dominant (c1=%g)"
-            % (markdown_start, horizon, c1)
-        )
-    # p_t = pa*p0 + pb, r_t = ra*p0 + rb as functions of the initial price p0.
-    pa, pb = 1.0, 0.0
-    ra, rb = 0.0, r_md
-    for t in range(markdown_start, horizon):
-        step = c1 / (t + 1.0 + c1)
-        pa, pb, ra, rb = (
-            pa - step * ra,
-            pb - step * rb,
-            (t * ra + pa) / (t + 1.0),
-            (t * rb + pb) / (t + 1.0),
-        )
-    denom = pa - c1 * ra
-    if abs(denom) < 1e-12:
-        raise SolverError("degenerate final-round condition")
-    return (c1 * rb + c2 - pb) / denom
+def _maps(c1: float, lo: int, hi: int) -> list[np.ndarray]:
+    """Entries (a, b, c, d) of the maps M_t for t in [lo, hi), one array each."""
+    t = np.arange(lo, hi, dtype=float)
+    return [np.ones_like(t), -c1 / (t * (t + 1.0 + c1)), np.ones_like(t), np.ones_like(t)]
 
 
-def solve_segment(
-    theta: PolicyParams, r_md: float, markdown_start: int, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """O(T) solution of the optimality conditions on [markdown_start, horizon].
-
-    Returns (prices, refs) with refs[0] = r_md: the one-step rule rolled
-    forward from the initial price that meets the final-round condition.
-    """
-    if markdown_start > horizon:
-        raise ValueError("markdown_start must not exceed the horizon")
-    c1, c2 = theta.c1, theta.c2
-    n = horizon - markdown_start + 1
-    if n == 1:
-        p = c1 * r_md + c2
-        return np.array([p]), np.array([r_md])
-    p0 = segment_initial_price(theta, r_md, markdown_start, horizon)
-
-    prices = np.empty(n)
-    refs = np.empty(n)
-    p, r = p0, r_md
-    total = markdown_start * r_md
-    for i, t in enumerate(range(markdown_start, horizon + 1)):
-        prices[i] = p
-        refs[i] = r
-        if t == horizon:
-            break
-        p = p - c1 * r / (t + 1.0 + c1)
-        total += prices[i]
-        r = total / (t + 1.0)
-    # Final round satisfies p_T = c1*r_T + c2 by construction of p0; assign the
-    # closed form so the terminal identity holds to the last bit, unless that
-    # sits an ulp above the rolled price before it: a markdown never rises.
-    prices[-1] = min(c1 * refs[-1] + c2, prices[-2])
-    return prices, refs
+def _mul(x, y):
+    """Products x @ y of 2x2 matrices given by their entries (a, b, c, d)."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return [xa * ya + xb * yc, xa * yb + xb * yd, xc * ya + xd * yc, xc * yb + xd * yd]
 
 
-def curve_from_markdown_start(
-    theta: PolicyParams,
-    r_start: float,
-    t_start: int,
-    markdown_start: int,
-    horizon: int,
-    p_max: float,
-) -> Optional[PriceCurve]:
-    """Curve that holds p_max before ``markdown_start`` and then follows the
-    optimality segment.  Returns None when the segment's initial price falls
-    outside [0, p_max] (the plateau would have to be longer)."""
-    if not (1 <= t_start <= markdown_start <= horizon):
-        raise ValueError("need 1 <= t_start <= markdown_start <= horizon")
-    if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
-        raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
-    r_md = (t_start * r_start + (markdown_start - t_start) * p_max) / markdown_start
-    seg_prices, seg_refs = solve_segment(theta, r_md, markdown_start, horizon)
-    p0 = seg_prices[0]
-    if p0 < -FEASIBILITY_TOL or p0 > p_max + FEASIBILITY_TOL:
-        return None
-    seg_prices[0] = min(max(p0, 0.0), p_max)
+def _left(y, m):
+    """Covector y = (u, v) times the 2x2 matrix (or matrices) m."""
+    return y[0] * m[0] + y[1] * m[2], y[0] * m[1] + y[1] * m[3]
 
-    n_plateau = markdown_start - t_start
-    prices = np.concatenate([np.full(n_plateau, p_max), seg_prices])
-    if n_plateau:
-        t = np.arange(t_start, markdown_start, dtype=float)
-        plateau_refs = (t_start * r_start + (t - t_start) * p_max) / t
-        refs = np.concatenate([plateau_refs, seg_refs])
-    else:
-        refs = seg_refs
-    return PriceCurve(t_start=t_start, markdown_start=markdown_start, prices=prices, refs=refs)
+
+def _scan(m: list[np.ndarray], forward: bool) -> list[np.ndarray]:
+    """Running products of the maps m in place, by log-depth doubling: entry
+    i becomes M_i ... M_0 when ``forward``, else M_{n-1} ... M_i."""
+    step = 1
+    while step < len(m[0]):
+        prods = _mul([x[step:] for x in m], [x[:-step] for x in m])
+        dst = slice(step, None) if forward else slice(None, -step)
+        for x, p in zip(m, prods):
+            x[dst] = p
+        step *= 2
+    return m
+
+
+def _product(m: list[np.ndarray]) -> list[float]:
+    """M_{n-1} ... M_0 of the maps m, by pairwise reduction."""
+    while len(m[0]) > 1:
+        if len(m[0]) % 2:
+            m = [np.append(x, e) for x, e in zip(m, (1.0, 0.0, 0.0, 1.0))]
+        m = _mul([x[1::2] for x in m], [x[::2] for x in m])
+    return [float(x[0]) for x in m]
 
 
 def solve_curve(
     theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
 ) -> PriceCurve:
-    """Find the smallest feasible markdown start in one backward sweep and
-    return the full curve.
+    """The markdown curve over [t_start, horizon] from reference r_start.
 
-    The final-round condition p_T - c1*r_T = c2 is linear in the state
-    (p_T, r_T).  Pulling its covector (u, v) back through the one-step maps,
-    round T down to t_start, gives the segment's initial price for every
-    start s in one pass: p_s = (c2 - v_s*r_md(s)) / u_s.  A start is a
-    candidate when the system on [s, T] is diagonally dominant,
-    |u_s| >= 1e-12 and p_s lies in [0, p_max] up to FEASIBILITY_TOL, the
-    conditions ``curve_from_markdown_start`` checks.  The curve is built by
-    ``curve_from_markdown_start`` at the smallest candidate it accepts, so it
-    equals the exhaustive linear scan's.
+    Three chunked passes over the maps M_t, with w = (1, -c1/T) the
+    covector of the final-round condition w . x_T = c2:
+
+    1. From round T down, the covector y_s = w M_{T-1} ... M_s is carried
+       to each chunk boundary, until the system on [s, T] stops being
+       diagonally dominant (c1 * sum_{j>s} 1/j >= 1).  The margin only
+       shrinks as s falls, so no earlier round can start the markdown.
+    2. Chunk by chunk from there up, the suffix products give (u_s, v_s) =
+       y_s for every round s at once, and with it the segment's initial
+       price p_s = (c2 - v_s * S_s) / u_s, where S_s is the running total
+       after a plateau at p_max.  The markdown start m is the first round
+       with |u_s| >= 1e-12 and p_s in [0, p_max] up to FEASIBILITY_TOL.
+    3. The segment is rolled forward from x_m = (p_m, S_m) into the output
+       arrays by prefix products.  Then p_m is snapped onto [0, p_max], the
+       final price takes its closed form c1*r_T + c2, and a running minimum
+       makes the prices exactly non-increasing, so that the final price is
+       min(c1*r_T + c2, p_{T-1}).
+
+    Raises SolverError when no round can start the markdown.
     """
     if not 1 <= t_start <= horizon:
         raise ValueError("need 1 <= t_start <= horizon")
     if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
         raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
     c1, c2 = theta.c1, theta.c2
-    lo, hi = -FEASIBILITY_TOL, p_max + FEASIBILITY_TOL
-    base = t_start * r_start
-    u, v = 1.0, -c1  # covector of round t
-    tail = 0.0  # sum_{j > t} 1/j
-    starts = array("q")  # candidates, latest first
-    for t in range(horizon, t_start - 1, -1):
-        # The dominance margin only shrinks as t falls: no earlier round can
-        # start the markdown either.
-        if c1 * tail >= 1.0:
+
+    # Pass 1: chunks [lo, hi) of dominant starts, highest first, with y_hi.
+    chunks = []
+    y, tail, hi = (1.0, -c1 / horizon), 0.0, horizon
+    while hi > t_start:
+        lo = max(hi - CHUNK, t_start)
+        # tails[i] = sum_{j > lo+i} 1/j, summed from round T down.
+        tails = np.cumsum(np.append(tail, 1.0 / np.arange(hi, lo, -1.0)))[::-1]
+        dominant = c1 * tails[:-1] < 1.0
+        if not dominant[0]:
+            chunks.append((hi - int(np.count_nonzero(dominant)), hi, y))
             break
-        r_md = (base + (t - t_start) * p_max) / t
-        if abs(u) >= 1e-12 and lo <= (c2 - v * r_md) / u <= hi:
-            starts.append(t)
-        tail += 1.0 / t
-        u, v = u + v / t, v * (t - 1) / t - u * c1 / (t + c1)
-    for t_md in reversed(starts):
-        # The exact recheck can disagree below an ulp at the boundary; the
-        # next candidate then starts the markdown.
-        try:
-            curve = curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max)
-        except SolverError:
-            continue
-        if curve is not None:
-            return curve
-    raise SolverError("no feasible markdown start")
+        chunks.append((lo, hi, y))
+        tail = tails[0]
+        if lo > t_start:
+            y = _left(y, _product(_maps(c1, lo, hi)))
+        hi = lo
+
+    # Pass 2: the first feasible start, ascending; round T closes the list.
+    base = t_start * r_start
+    lo_p, hi_p = -FEASIBILITY_TOL, p_max + FEASIBILITY_TOL
+    start, p0 = horizon, c2 + c1 / horizon * (base + (horizon - t_start) * p_max)
+    for lo, hi, y in reversed(chunks):
+        u, v = _left(y, _scan(_maps(c1, lo, hi), forward=False))
+        s = np.arange(lo, hi, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = (c2 - v * (base + (s - t_start) * p_max)) / u
+        feasible = (np.abs(u) >= 1e-12) & (lo_p <= p) & (p <= hi_p)
+        if feasible.any():
+            i = int(np.argmax(feasible))
+            start, p0 = lo + i, float(p[i])
+            break
+    else:
+        if not lo_p <= p0 <= hi_p:
+            raise SolverError("no feasible markdown start")
+
+    # Pass 3: the plateau, then the segment rolled forward from x_m.
+    n, i0 = horizon - t_start + 1, start - t_start
+    prices, refs = np.empty(n), np.empty(n)
+    prices[:i0] = p_max
+    t = np.arange(t_start, start + 1, dtype=float)
+    refs[: i0 + 1] = (base + (t - t_start) * p_max) / t
+    prices[i0] = p0
+    x = (p0, base + i0 * p_max)
+    for lo in range(start, horizon, CHUNK):
+        hi = min(lo + CHUNK, horizon)
+        a, b, c, d = _scan(_maps(c1, lo, hi), forward=True)
+        p, total = a * x[0] + b * x[1], c * x[0] + d * x[1]
+        prices[lo + 1 - t_start : hi + 1 - t_start] = p
+        refs[lo + 1 - t_start : hi + 1 - t_start] = total / np.arange(lo + 1.0, hi + 1.0)
+        x = (p[-1], total[-1])
+    if start < horizon:
+        prices[-1] = c1 * refs[-1] + c2
+    prices[i0] = min(max(p0, 0.0), p_max)
+    np.minimum.accumulate(prices, out=prices)
+    return PriceCurve(t_start=t_start, markdown_start=start, prices=prices, refs=refs)
 
 
 def induced_references(prices: np.ndarray, t_start: int, r_start: float) -> np.ndarray:

@@ -33,15 +33,19 @@ RESET_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def fixed_price_value(inst: Instance, p: float, r1: float, T: int) -> float:
-    """Total expected revenue of posting price p for all T rounds from r1.
+def fixed_price_value(
+    inst: Instance, p: float | np.ndarray, r1: float, T: int
+) -> float | np.ndarray:
+    """Total expected revenue of posting price p for all T rounds from r1;
+    ``p`` may also be an array of prices, each valued on its own.
 
     Under the averaging dynamics r_t - p = (r1 - p)/t, so the reference term
     telescopes into a harmonic factor:  T*p*(b-a*p) + eta*p*(r1-p)*H_T.
     """
-    inst.check_price(p)
+    inst.check_price(np.min(p))
+    inst.check_price(np.max(p))
     inst.check_price(r1, "reference")
-    eta = inst.eta_plus if r1 >= p else inst.eta_minus
+    eta = np.where(r1 >= p, inst.eta_plus, inst.eta_minus)
     h = harmonic_range(1, T)
     return T * p * (inst.b - inst.a * p) + eta * p * (r1 - p) * h
 
@@ -59,8 +63,7 @@ def optimal_fixed_price(inst: Instance, r1: float, T: int) -> float:
         p = (T * inst.b + eta * r1 * h) / (2.0 * (T * inst.a + eta * h))
         return min(max(p, 0.0), inst.p_max)
     grid = np.linspace(0.0, inst.p_max, 10001)
-    values = [fixed_price_value(inst, p, r1, T) for p in grid]
-    return float(grid[int(np.argmax(values))])
+    return float(grid[int(np.argmax(fixed_price_value(inst, grid, r1, T)))])
 
 
 def two_price_policy(inst: Instance, alpha: float, T: Optional[int] = None):

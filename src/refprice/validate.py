@@ -1,27 +1,32 @@
 """Cross-oracle consistency checks backing the ``validate`` CLI command.
 
 Each check pits a fast implementation against an independent slow oracle:
-dense linear solve vs the O(T) recursion, the backward-sweep markdown start vs
-linear scan, closed-form reset plans vs brute force, the one-point gradient
-estimate vs the analytic derivative, and the optimality-condition residual of
-solved curves.  The slow oracles themselves (dense system, linear scan,
-brute-force reset) live here, outside the production path.
+dense linear solve vs the scan's segment and the scalar O(T) recursion, the
+scan's markdown start vs linear scan, closed-form reset plans vs brute force,
+the one-point gradient estimate vs the analytic derivative, and the
+optimality-condition residual of solved curves.  The slow oracles themselves
+live here, outside the production path: the dense system, the scalar
+recursion (``solve_segment``, ``curve_from_markdown_start`` and the backward
+sweep ``scalar_solve_curve``, the solver the scan replaced), the linear scan
+and the brute-force reset.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .curve import (
+    FEASIBILITY_TOL,
+    PriceCurve,
     SolverError,
-    curve_from_markdown_start,
-    dominance_margin,
     foc_residual,
+    harmonic_range,
     solve_curve,
-    solve_segment,
 )
 from .model import Instance, PolicyParams, true_policy_params
 from .policies import RESET_TOL, reset_ref
@@ -35,6 +40,163 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def dominance_margin(c1: float, markdown_start: int, horizon: int) -> float:
+    """1 - c1 * sum_{s=markdown_start+1}^{horizon} 1/s; positive iff the curve
+    system is strictly diagonally dominant."""
+    return 1.0 - c1 * harmonic_range(markdown_start + 1, horizon)
+
+
+def segment_initial_price(
+    theta: PolicyParams, r_md: float, markdown_start: int, horizon: int
+) -> float:
+    """Initial price of the optimality segment on [markdown_start, horizon].
+
+    Every quantity along the one-step rule is affine in the unknown initial
+    price, so one forward pass with coefficient pairs pins it from the
+    final-round condition p_T = c1*r_T + c2.
+    """
+    c1, c2 = theta.c1, theta.c2
+    if markdown_start == horizon:
+        return c1 * r_md + c2
+    if dominance_margin(c1, markdown_start, horizon) <= 0.0:
+        raise SolverError(
+            "curve system on [%d, %d] is not diagonally dominant (c1=%g)"
+            % (markdown_start, horizon, c1)
+        )
+    # p_t = pa*p0 + pb, r_t = ra*p0 + rb as functions of the initial price p0.
+    pa, pb = 1.0, 0.0
+    ra, rb = 0.0, r_md
+    for t in range(markdown_start, horizon):
+        step = c1 / (t + 1.0 + c1)
+        pa, pb, ra, rb = (
+            pa - step * ra,
+            pb - step * rb,
+            (t * ra + pa) / (t + 1.0),
+            (t * rb + pb) / (t + 1.0),
+        )
+    denom = pa - c1 * ra
+    if abs(denom) < 1e-12:
+        raise SolverError("degenerate final-round condition")
+    return (c1 * rb + c2 - pb) / denom
+
+
+def solve_segment(
+    theta: PolicyParams, r_md: float, markdown_start: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """O(T) solution of the optimality conditions on [markdown_start, horizon].
+
+    Returns (prices, refs) with refs[0] = r_md: the one-step rule rolled
+    forward from the initial price that meets the final-round condition.
+    """
+    if markdown_start > horizon:
+        raise ValueError("markdown_start must not exceed the horizon")
+    c1, c2 = theta.c1, theta.c2
+    n = horizon - markdown_start + 1
+    if n == 1:
+        p = c1 * r_md + c2
+        return np.array([p]), np.array([r_md])
+    p0 = segment_initial_price(theta, r_md, markdown_start, horizon)
+
+    prices = np.empty(n)
+    refs = np.empty(n)
+    p, r = p0, r_md
+    total = markdown_start * r_md
+    for i, t in enumerate(range(markdown_start, horizon + 1)):
+        prices[i] = p
+        refs[i] = r
+        if t == horizon:
+            break
+        p = p - c1 * r / (t + 1.0 + c1)
+        total += prices[i]
+        r = total / (t + 1.0)
+    # Final round satisfies p_T = c1*r_T + c2 by construction of p0; assign the
+    # closed form so the terminal identity holds to the last bit, unless that
+    # sits an ulp above the rolled price before it: a markdown never rises.
+    prices[-1] = min(c1 * refs[-1] + c2, prices[-2])
+    return prices, refs
+
+
+def curve_from_markdown_start(
+    theta: PolicyParams,
+    r_start: float,
+    t_start: int,
+    markdown_start: int,
+    horizon: int,
+    p_max: float,
+) -> Optional[PriceCurve]:
+    """Curve that holds p_max before ``markdown_start`` and then follows the
+    optimality segment.  Returns None when the segment's initial price falls
+    outside [0, p_max] (the plateau would have to be longer)."""
+    if not (1 <= t_start <= markdown_start <= horizon):
+        raise ValueError("need 1 <= t_start <= markdown_start <= horizon")
+    if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
+        raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
+    r_md = (t_start * r_start + (markdown_start - t_start) * p_max) / markdown_start
+    seg_prices, seg_refs = solve_segment(theta, r_md, markdown_start, horizon)
+    p0 = seg_prices[0]
+    if p0 < -FEASIBILITY_TOL or p0 > p_max + FEASIBILITY_TOL:
+        return None
+    seg_prices[0] = min(max(p0, 0.0), p_max)
+
+    n_plateau = markdown_start - t_start
+    prices = np.concatenate([np.full(n_plateau, p_max), seg_prices])
+    if n_plateau:
+        t = np.arange(t_start, markdown_start, dtype=float)
+        plateau_refs = (t_start * r_start + (t - t_start) * p_max) / t
+        refs = np.concatenate([plateau_refs, seg_refs])
+    else:
+        refs = seg_refs
+    return PriceCurve(t_start=t_start, markdown_start=markdown_start, prices=prices, refs=refs)
+
+
+def scalar_solve_curve(
+    theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
+) -> PriceCurve:
+    """Scalar oracle for ``solve_curve``: find the smallest feasible markdown
+    start in one backward sweep and return the full curve.
+
+    The final-round condition p_T - c1*r_T = c2 is linear in the state
+    (p_T, r_T).  Pulling its covector (u, v) back through the one-step maps,
+    round T down to t_start, gives the segment's initial price for every
+    start s in one pass: p_s = (c2 - v_s*r_md(s)) / u_s.  A start is a
+    candidate when the system on [s, T] is diagonally dominant,
+    |u_s| >= 1e-12 and p_s lies in [0, p_max] up to FEASIBILITY_TOL, the
+    conditions ``curve_from_markdown_start`` checks.  The curve is built by
+    ``curve_from_markdown_start`` at the smallest candidate it accepts, so it
+    equals the exhaustive linear scan's.
+    """
+    if not 1 <= t_start <= horizon:
+        raise ValueError("need 1 <= t_start <= horizon")
+    if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
+        raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
+    c1, c2 = theta.c1, theta.c2
+    lo, hi = -FEASIBILITY_TOL, p_max + FEASIBILITY_TOL
+    base = t_start * r_start
+    u, v = 1.0, -c1  # covector of round t
+    tail = 0.0  # sum_{j > t} 1/j
+    starts = array("q")  # candidates, latest first
+    for t in range(horizon, t_start - 1, -1):
+        # The dominance margin only shrinks as t falls: no earlier round can
+        # start the markdown either.
+        if c1 * tail >= 1.0:
+            break
+        r_md = (base + (t - t_start) * p_max) / t
+        if abs(u) >= 1e-12 and lo <= (c2 - v * r_md) / u <= hi:
+            starts.append(t)
+        tail += 1.0 / t
+        u, v = u + v / t, v * (t - 1) / t - u * c1 / (t + c1)
+    for t_md in reversed(starts):
+        # The exact recheck can disagree below an ulp at the boundary; the
+        # next candidate then starts the markdown.
+        try:
+            curve = curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max)
+        except SolverError:
+            continue
+        if curve is not None:
+            return curve
+    raise SolverError("no feasible markdown start")
 
 
 @dataclass(frozen=True)
@@ -120,6 +282,7 @@ def random_theta(rng: np.random.Generator, p_max: float) -> PolicyParams:
 
 
 def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
+    """Dense solve of random segments vs the scalar recursion and the scan."""
     worst = 0.0
     for _ in range(n_cases):
         p_max = rng.uniform(0.6, 2.0)
@@ -133,8 +296,12 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
         if system.dominance_margin() <= 0.0:
             continue
         dense = dense_solve(system)
-        fast, _ = solve_segment(theta, r_md, markdown_start, horizon)
-        worst = max(worst, float(np.max(np.abs(dense - fast))))
+        scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
+        # Started at markdown_start under a ceiling above every price, the
+        # scan's curve is the segment alone.
+        scan = solve_curve(theta, r_md, markdown_start, horizon, 2.0 * max(r_md, dense.max()))
+        for fast in (scalar, scan.prices):
+            worst = max(worst, float(np.max(np.abs(dense - fast))))
     return CheckResult(
         "dense_vs_recursion", worst <= ORACLE_TOL, f"max abs diff {worst:.3e}"
     )
@@ -143,8 +310,8 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
 def check_binary_vs_linear(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
 ) -> CheckResult:
-    """Markdown start of ``solve_curve``'s backward sweep vs the exhaustive
-    linear scan, on random symmetric and asymmetric instances."""
+    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
+    scan, on random symmetric and asymmetric instances."""
     mismatches = 0
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))

@@ -1,8 +1,9 @@
 import refprice
 from refprice import validate
 
-# The public names of the package.  The slow oracles (dense solve, linear
-# scan, brute-force reset) live in refprice.validate and are not among them.
+# The public names of the package.  The slow oracles (dense solve, scalar
+# recursion, linear scan, brute-force reset) live in refprice.validate and are
+# not among them.
 PUBLIC = [
     "DomainError",
     "EpisodeRecord",
@@ -16,7 +17,6 @@ PUBLIC = [
     "SimEnv",
     "SolverError",
     "clairvoyant_value",
-    "curve_from_markdown_start",
     "curve_value",
     "expected_demand",
     "foc_residual",
@@ -30,7 +30,6 @@ PUBLIC = [
     "run_episode",
     "sample_demand",
     "solve_curve",
-    "solve_segment",
     "true_policy_params",
     "two_price_policy",
 ]
@@ -47,6 +46,17 @@ def test_every_public_name_imports():
 
 
 def test_oracles_live_in_validate():
-    for name in ("FocSystem", "dense_solve", "linear_scan_markdown_start", "brute_force_reset"):
+    oracles = (
+        "FocSystem",
+        "dense_solve",
+        "linear_scan_markdown_start",
+        "brute_force_reset",
+        "segment_initial_price",
+        "solve_segment",
+        "curve_from_markdown_start",
+        "scalar_solve_curve",
+    )
+    for name in oracles:
         assert hasattr(validate, name)
         assert not hasattr(refprice, name)
+        assert not hasattr(refprice.curve, name)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,21 +9,24 @@ from refprice import (
     PolicyParams,
     PriceCurve,
     SolverError,
-    curve_from_markdown_start,
     curve_value,
     foc_residual,
     solve_curve,
-    solve_segment,
     true_policy_params,
 )
-from refprice.curve import harmonic_range, induced_references, segment_initial_price
+from refprice import curve as curve_module
+from refprice.curve import harmonic_range, induced_references
 from refprice.validate import (
     FocSystem,
     check_curve_lipschitz,
+    curve_from_markdown_start,
     dense_solve,
     linear_scan_markdown_start,
     random_instance,
     random_theta,
+    scalar_solve_curve,
+    segment_initial_price,
+    solve_segment,
 )
 
 
@@ -56,7 +61,9 @@ def test_dense_vs_recursion_random(rng):
             continue
         dense = dense_solve(system)
         fast, _ = solve_segment(theta, r_md, markdown_start, horizon)
-        worst = max(worst, np.max(np.abs(dense - fast)))
+        scan = solve_curve(theta, r_md, markdown_start, horizon, 2.0 * max(r_md, dense.max()))
+        assert scan.markdown_start == markdown_start
+        worst = max(worst, np.max(np.abs(dense - fast)), np.max(np.abs(dense - scan.prices)))
         n_done += 1
     assert worst <= 1e-8
 
@@ -177,6 +184,78 @@ def test_sweep_property(seed, symmetric, true_theta, t_start, length, r_share):
     assert np.all(curve.prices >= 0.0) and np.all(curve.prices <= inst.p_max)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    true_theta=st.booleans(),
+    horizon=st.integers(1, 3000),
+    start_share=st.floats(0.0, 1.0),
+    r_share=st.floats(0.0, 1.0),
+    chunk=st.sampled_from([curve_module.CHUNK, 5, 64]),
+)
+def test_scan_matches_scalar_oracle(
+    seed, symmetric, true_theta, horizon, start_share, r_share, chunk
+):
+    # Small chunks put many chunk boundaries inside short horizons.
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, symmetric=symmetric)
+    theta = true_policy_params(inst) if true_theta else random_theta(rng, inst.p_max)
+    t_start = 1 + int(start_share * (horizon - 1))
+    args = (theta, r_share * inst.p_max, t_start, horizon, inst.p_max)
+    try:
+        oracle = scalar_solve_curve(*args)
+    except SolverError:
+        with mock.patch.object(curve_module, "CHUNK", chunk), pytest.raises(SolverError):
+            solve_curve(*args)
+        return
+    with mock.patch.object(curve_module, "CHUNK", chunk):
+        curve = solve_curve(*args)
+    assert curve.markdown_start == oracle.markdown_start
+    assert np.max(np.abs(curve.prices - oracle.prices)) <= 1e-12
+    assert np.all(np.diff(curve.prices) <= 0.0)
+    assert np.all(curve.prices >= 0.0) and np.all(curve.prices <= inst.p_max)
+
+
+def _mp_segment(theta, r_md, markdown_start, horizon):
+    """Prices of the optimality segment in 50-digit arithmetic: the one-step
+    rule rolled from the initial price that meets the final-round condition
+    (the final price is affine in the initial one)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c1, c2 = mpmath.mpf(theta.c1), mpmath.mpf(theta.c2)
+
+        def roll(p):
+            prices, total = [], markdown_start * mpmath.mpf(r_md)
+            for t in range(markdown_start, horizon + 1):
+                prices.append(p)
+                p, total = p - c1 * total / (t * (t + 1 + c1)), total + p
+            return prices, (total - prices[-1]) / horizon
+
+        def excess(p0):
+            prices, r_T = roll(p0)
+            return prices[-1] - c1 * r_T - c2
+
+        f0 = excess(mpmath.mpf(0))
+        prices, _ = roll(-f0 / (excess(mpmath.mpf(1)) - f0))
+        return np.array([float(p) for p in prices])
+
+
+def test_scan_and_scalar_oracle_against_mpmath():
+    rng = np.random.default_rng(2024)
+    for k in range(8):
+        inst = random_instance(rng, symmetric=k % 2 == 0)
+        theta = true_policy_params(inst) if k < 4 else random_theta(rng, inst.p_max)
+        horizon = int(rng.integers(2, 2001))
+        curve = solve_curve(theta, rng.uniform(0, inst.p_max), 1, horizon, inst.p_max)
+        m = curve.markdown_start
+        r_md = curve.refs[m - 1]
+        exact = _mp_segment(theta, r_md, m, horizon)
+        scalar, _ = solve_segment(theta, r_md, m, horizon)
+        assert np.max(np.abs(curve.prices[m - 1 :] - exact)) <= 1e-13
+        assert np.max(np.abs(scalar - exact)) <= 1e-13
+
+
 def test_final_price_does_not_rise():
     # The closed-form final price c1*r_T + c2 sits an ulp above the rolled
     # price of round T-1 here; the curve keeps the rolled one.
@@ -195,6 +274,13 @@ def test_long_horizon_markdown_start(inst_symmetric):
     curve = solve_curve(theta, inst.p_max, 1, 10**6, inst.p_max)
     assert curve.markdown_start == 83120
     assert foc_residual(curve, theta) <= 1e-8
+    assert np.all(np.diff(curve.prices) <= 0.0)
+    # The scan against the scalar oracle over a long horizon.
+    scan = solve_curve(theta, inst.p_max, 1, 10**5, inst.p_max)
+    oracle = scalar_solve_curve(theta, inst.p_max, 1, 10**5, inst.p_max)
+    assert scan.markdown_start == oracle.markdown_start == 8312
+    assert np.max(np.abs(scan.prices - oracle.prices)) <= 1e-12
+    assert np.all(np.diff(scan.prices) <= 0.0)
 
 
 def test_markdown_invariant_sample(rng):

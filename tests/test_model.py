@@ -138,6 +138,20 @@ def test_noise_spec_validation():
         NoiseSpec.gaussian(-1.0)
 
 
+@pytest.mark.parametrize("noise", [NoiseSpec.bounded_uniform(0.3), NoiseSpec.gaussian(0.2)])
+def test_scalar_draw_matches_generator_calls(noise):
+    # draw() must return the doubles of rng.uniform / rng.normal bit for bit
+    # and leave the generator in the same state.
+    ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+    got = [noise.draw(ours) for _ in range(20000)]
+    if noise.kind == "bounded_uniform":
+        want = [ref.uniform(-noise.half_width, noise.half_width) for _ in range(20000)]
+    else:
+        want = [ref.normal(0.0, noise.std) for _ in range(20000)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_sample_demand_degenerate(inst_symmetric, rng):
     inst = inst_symmetric
     exp = expected_demand(inst, 0.9, 1.1)

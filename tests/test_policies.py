@@ -67,6 +67,24 @@ def test_optimal_fixed_price_asymmetric_fallback():
     assert p == pytest.approx(best, abs=1e-9)
 
 
+def test_fixed_price_values_match_per_point_loop():
+    # The asymmetric grid search values the whole grid in one array call; it
+    # must give the per-point formula's doubles, and so the same argmax.
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        inst = random_instance(rng, symmetric=False)
+        T = int(rng.integers(1, 3000))
+        r1 = rng.uniform(0.0, inst.p_max)
+        grid = np.linspace(0.0, inst.p_max, 10001)
+        h = harmonic_range(1, T)
+        loop = []
+        for p in grid.tolist():
+            eta = inst.eta_plus if r1 >= p else inst.eta_minus
+            loop.append(T * p * (inst.b - inst.a * p) + eta * p * (r1 - p) * h)
+        assert np.array_equal(fixed_price_value(inst, grid, r1, T), loop)
+        assert optimal_fixed_price(inst, r1, T) == grid[int(np.argmax(loop))]
+
+
 def test_two_price_reference_values(inst_symmetric):
     p_u, p_d = two_price_policy(inst_symmetric, 0.3)
     assert p_u == pytest.approx(1.2787, abs=5e-4)
