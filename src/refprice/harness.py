@@ -28,6 +28,8 @@ BLOCK_CUTOVER = 8
 # Longest run of rounds ``post_block`` handles with one set of numpy
 # temporaries.
 BLOCK_CHUNK = 4096
+# Rows the CSV writer formats and writes at a time.
+CSV_ROWS = 16384
 
 
 class SimEnv:
@@ -310,21 +312,55 @@ def fit_loglog_slope(records: Sequence[RegretRecord]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
+def _format_column(chunk: np.ndarray) -> list:
+    """``repr`` of each ``.tolist()`` entry of a contiguous ``chunk``.  Runs
+    of equal bits get one ``repr`` each, repeated, when fewer than half the
+    rows start a run."""
+    bits = chunk.view(f"u{chunk.itemsize}")
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) >= len(chunk):
+        return list(map(repr, chunk.tolist()))
+    starts = np.concatenate(([0], starts))
+    strings = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
+    return np.repeat(strings, np.diff(starts, append=len(chunk))).tolist()
+
+
 def _write_csv(path, meta: dict, header: str, blocks, footer=()) -> None:
     """Write the ``# key=value`` lines of ``meta`` in key order, the header,
-    each block's equal-length columns as rows, then the ``footer`` lines.
+    each block's columns as rows, then the ``footer`` lines.
 
-    A cell is ``repr`` of the column's ``.tolist()`` entry: ints print as
-    ints, floats in their shortest round-trip form.  Rows go to the file as
-    they are formatted.
+    A block is a sequence of equal-length int or float columns (arrays,
+    views or lists); columns of unequal length raise ``ValueError``.  A cell
+    is ``repr`` of the column's ``.tolist()`` entry: ints print as ints,
+    floats in their shortest round-trip form.
+
+    Each block is formatted and written ``CSV_ROWS`` rows at a time, one
+    column at a time, so memory is bounded by the chunk.  A distinct cell is
+    formatted once where it repeats: a run of equal cells within a column
+    shares one string, and a column chunk identical to an earlier column's
+    in the same block reuses that column's strings.  Equal means the same
+    dtype and the same raw bits, never ``==``: ``0.0`` and ``-0.0``, or two
+    NaN payloads, never share a string.
     """
     with open(path, "w") as f:
         for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n")
         f.write(header + "\n")
         for columns in blocks:
-            cells = [np.asarray(column).tolist() for column in columns]
-            f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+            columns = [np.asarray(column) for column in columns]
+            lengths = [len(column) for column in columns]
+            if len(set(lengths)) > 1:
+                raise ValueError(f"CSV block columns differ in length: {lengths}")
+            for lo in range(0, lengths[0] if lengths else 0, CSV_ROWS):
+                by_bits = {}
+                cells = []
+                for column in columns:
+                    chunk = np.ascontiguousarray(column[lo : lo + CSV_ROWS])
+                    key = (chunk.dtype.str, chunk.tobytes())
+                    if key not in by_bits:
+                        by_bits[key] = _format_column(chunk)
+                    cells.append(by_bits[key])
+                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
         for line in footer:
             f.write(line + "\n")
 

@@ -7,6 +7,13 @@ their shortest round-trip form, and the trailing ``# slope=`` line.  The
 three outputs that hold a solved curve (``curve``, ``episodes_learner_t2``
 and ``regret``) were re-captured when the curve solver became a numpy scan;
 their numbers moved by at most 2.3e-13 (a regret sum), prices by 8.7e-15.
+
+``episodes_two_price_noiseless`` and ``curve_long`` were captured from the
+row-by-row writer, before the writer went chunked.  They are the two cases
+longer than one ``CSV_ROWS`` chunk (16,384 rows), so chunk boundaries fall
+inside their blocks.  The first has a two-valued price column and, without
+noise, a ``realized_revenue`` column bit-identical to ``expected_revenue``;
+the second has the curve's long hold phase at p_max.
 """
 
 import hashlib
@@ -49,6 +56,21 @@ CASES = {
         ["run.T=1000", "run.seeds=1"],
         "episodes.csv",
         "abde991396c8f07d74c663f7e03a7e601e5dc0ac8395fce4c8c1031db6efb132",
+    ),
+    # Past one writer chunk, with runs and identical columns.
+    "episodes_two_price_noiseless": (
+        "simulate",
+        "two_price_gap.yaml",
+        ["run.T=40000", "run.seeds=2", "noise.kind=none"],
+        "episodes.csv",
+        "f8639d874ebef6285d5e8a96d11344443879c8ba469552edd78b6217fa470dc5",
+    ),
+    "curve_long": (
+        "solve",
+        "default.yaml",
+        ["run.T=40000"],
+        "curve.csv",
+        "9c08ddc2e38a11ed22058f3e5cd992ab16e997019a1530bc6839443e7326ea13",
     ),
     "regret": (
         "sweep",

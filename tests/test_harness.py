@@ -1,4 +1,6 @@
 import os
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +15,16 @@ from refprice import (
     run_episode,
     revenue,
 )
+from refprice import harness
 from refprice.curve import harmonic_range
 from refprice.config import load_config
 from refprice.harness import (
     BLOCK_CHUNK,
     BLOCK_CUTOVER,
+    CSV_ROWS,
     RegretRecord,
     SimEnv,
+    _write_csv,
     baseline_kind,
     fit_loglog_slope,
 )
@@ -268,3 +273,90 @@ def test_regret_sweep_rejects_empty(inst_symmetric):
     with pytest.raises(ValueError):
         regret_sweep(inst_symmetric, NoiseSpec.none(), {"kind": "optimal_fixed"}, [], 1, 0.0)
 
+
+
+def _write_csv_rowwise(path, meta, header, blocks, footer=()):
+    """The row-by-row writer that the chunked ``_write_csv`` replaced: the
+    reference for its output."""
+    with open(path, "w") as f:
+        for key, value in sorted(meta.items()):
+            f.write(f"# {key}={value}\n")
+        f.write(header + "\n")
+        for columns in blocks:
+            cells = [np.asarray(column).tolist() for column in columns]
+            f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+        for line in footer:
+            f.write(line + "\n")
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Cells that must each keep their own string: both signed zeros, two NaN
+# payloads, infinities, subnormals and magnitudes near the ends of float64.
+CSV_FLOATS = [
+    0.0, -0.0, float("nan"), _from_bits(0xFFF8000000000001), float("inf"), -float("inf"),
+    5e-324, -2.2250738585072e-309, 1e300, -1e300, 1e-300, 0.1, 4.0 / 3.0,
+]
+CSV_INTS = [0, 1, -1, 7, 2**62, -(2**63)]
+
+
+def _csv_values(data, pool, n):
+    """n cells drawn from ``pool`` as runs of 1 to 12 equal cells."""
+    values = []
+    while len(values) < n:
+        values += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 12))
+    return values[:n]
+
+
+def _csv_block(data, n):
+    """Columns of n rows: float and int arrays, strided views, Python lists,
+    and copies of an earlier float column, some differing from it only in
+    the sign of one zero."""
+    specs = []  # (form, values); a flip may still change an earlier column
+    for _ in range(data.draw(st.integers(1, 6))):
+        floats = [values for form, values in specs if form in ("float", "view", "list")]
+        form = data.draw(st.sampled_from(["float", "int", "view", "list", "int_list", "copy", "flip"]))
+        if form in ("copy", "flip") and not floats:
+            form = "float"
+        if form in ("copy", "flip"):
+            source = data.draw(st.sampled_from(floats))
+            values = list(source)
+            if form == "flip" and n:
+                i = data.draw(st.integers(0, n - 1))
+                source[i] = data.draw(st.sampled_from([0.0, -0.0]))
+                values[i] = -source[i]
+            form = "float"
+        elif form in ("int", "int_list"):
+            values = _csv_values(data, CSV_INTS, n)
+        else:
+            values = _csv_values(data, CSV_FLOATS, n)
+        specs.append((form, values))
+    columns = []
+    for form, values in specs:
+        if form in ("list", "int_list"):
+            columns.append(values)
+        elif form == "view":
+            columns.append(np.repeat(np.array(values), 2)[::2])
+        else:
+            columns.append(np.array(values, dtype=np.int64 if form == "int" else float))
+    return columns
+
+
+@pytest.mark.parametrize("rows", [1, 3, CSV_ROWS])
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_write_csv_matches_rowwise_writer(tmp_path_factory, rows, data):
+    blocks = [_csv_block(data, n) for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))]
+    out = tmp_path_factory.getbasetemp()
+    meta, header, footer = {"b": 2, "a": "x"}, "h", ["# slope=nan"]
+    with mock.patch.object(harness, "CSV_ROWS", rows):
+        _write_csv(out / "chunked.csv", meta, header, blocks, footer)
+    _write_csv_rowwise(out / "rowwise.csv", meta, header, blocks, footer)
+    assert (out / "chunked.csv").read_text() == (out / "rowwise.csv").read_text()
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        _write_csv(tmp_path / "bad.csv", {}, "t,price", [(np.arange(3), [0.5, 1.5])])
