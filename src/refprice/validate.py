@@ -8,7 +8,9 @@ optimality-condition residual of solved curves.  The slow oracles themselves
 live here, outside the production path: the dense system, the scalar
 recursion (``solve_segment``, ``curve_from_markdown_start`` and the backward
 sweep ``scalar_solve_curve``, the solver the scan replaced), the linear scan
-and the brute-force reset.
+and the brute-force reset.  The linear scan decides each candidate start
+from its segment's initial price alone, the value ``curve_from_markdown_start``
+tests, and builds no curve.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -244,13 +246,27 @@ def dense_solve(system: FocSystem) -> np.ndarray:
 def linear_scan_markdown_start(
     theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
 ) -> int:
-    """Smallest feasible markdown start by exhaustive scan (test oracle)."""
+    """Smallest feasible markdown start by exhaustive scan (test oracle).
+
+    Tries every start from ``t_start`` to ``horizon`` in turn and decides each
+    from its segment's initial price alone: a start is feasible when
+    ``segment_initial_price`` succeeds and lands in [0, p_max] up to
+    FEASIBILITY_TOL, the test ``curve_from_markdown_start`` makes before it
+    builds a curve.  No curve is built.
+    """
+    if not 1 <= t_start <= horizon:
+        raise ValueError("need 1 <= t_start <= horizon")
+    if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
+        raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
     for t_md in range(t_start, horizon + 1):
+        r_md = (t_start * r_start + (t_md - t_start) * p_max) / t_md
         try:
-            if curve_from_markdown_start(theta, r_start, t_start, t_md, horizon, p_max) is not None:
-                return t_md
+            p0 = segment_initial_price(theta, r_md, t_md, horizon)
         except SolverError:
             continue
+        # Negated as in curve_from_markdown_start, so a NaN is decided alike.
+        if not (p0 < -FEASIBILITY_TOL or p0 > p_max + FEASIBILITY_TOL):
+            return t_md
     raise SolverError("no feasible markdown start found by linear scan")
 
 
@@ -384,12 +400,18 @@ def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> Ch
     )
 
 
-def check_gradient_unbiased(
-    rng: np.random.Generator, n_points: int = 10, n_draws: int = 10**6
-) -> CheckResult:
-    """Monte-Carlo mean of the one-point gradient estimate vs the analytic
-    revenue derivative, under bounded and gaussian shocks."""
-    worst_z = 0.0
+def _gradient_z_scores(
+    rng: np.random.Generator, n_points: int, n_draws: int
+) -> Iterator[float]:
+    """|z| of the Monte-Carlo mean of the one-point gradient estimate against
+    the analytic revenue derivative, for each point and shock kind in turn.
+
+    The estimate is computed into four buffers allocated once; each step keeps
+    the operand order of ``((pt*demand)*kappa)/d`` with
+    ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks``, so every z is
+    bit-identical to evaluating that expression with fresh arrays.
+    """
+    kappa, pt, demand, g = (np.empty(n_draws) for _ in range(4))
     for _ in range(n_points):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(inst.p_ratio_bound, inst.p_max)
@@ -400,13 +422,29 @@ def check_gradient_unbiased(
             rng.uniform(-0.2, 0.2, size=n_draws),
             rng.normal(0.0, 0.2, size=n_draws),
         ):
-            kappa = rng.integers(0, 2, size=n_draws) * 2.0 - 1.0
-            pt = p + kappa * d
-            demand = inst.b - inst.a * pt + inst.eta_plus * (r - pt) + shocks
-            g = pt * demand * kappa / d
+            np.multiply(rng.integers(0, 2, size=n_draws), 2.0, out=kappa)
+            np.subtract(kappa, 1.0, out=kappa)
+            np.multiply(kappa, d, out=pt)
+            np.add(p, pt, out=pt)
+            np.multiply(inst.a, pt, out=demand)
+            np.subtract(inst.b, demand, out=demand)
+            np.subtract(r, pt, out=g)  # the reference gap, until g is overwritten below
+            np.multiply(inst.eta_plus, g, out=g)
+            np.add(demand, g, out=demand)
+            np.add(demand, shocks, out=demand)
+            np.multiply(pt, demand, out=g)
+            np.multiply(g, kappa, out=g)
+            np.divide(g, d, out=g)
             se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
-            z = abs(float(np.mean(g)) - target) / se
-            worst_z = max(worst_z, z)
+            yield abs(float(np.mean(g)) - target) / se
+
+
+def check_gradient_unbiased(
+    rng: np.random.Generator, n_points: int = 10, n_draws: int = 10**6
+) -> CheckResult:
+    """Monte-Carlo mean of the one-point gradient estimate vs the analytic
+    revenue derivative, under bounded and gaussian shocks."""
+    worst_z = max([0.0, *_gradient_z_scores(rng, n_points, n_draws)])
     return CheckResult("gradient_unbiased", worst_z <= 3.0, f"max |z| {worst_z:.2f} (limit 3)")
 
 

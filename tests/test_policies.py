@@ -207,6 +207,44 @@ def test_gradient_estimate_exact_under_enumerated_signs(inst_symmetric):
     assert avg == pytest.approx(analytic, abs=1e-12)
 
 
+class FixedSign:
+    """Stands in for the learner's rng: ``random()`` picks the sign kappa."""
+
+    def __init__(self, kappa):
+        self.u = 0.25 if kappa > 0 else 0.75
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("s", [7, 50, 400])
+def test_greedy_learner_mean_step_is_the_derivative(symmetric, s):
+    # With zero shocks the revenue is quadratic in the price, so the steps
+    # taken after kappa = +1 and kappa = -1 average to exactly dR/dp over
+    # 2 p_max s; an estimator without kappa or with 1/(2d) misses it.  Both
+    # prices stay below r, so only eta_plus enters the demand.
+    inst = random_instance(np.random.default_rng(11 + symmetric), symmetric=symmetric)
+    r = inst.p_ratio_bound + 0.5 * (inst.p_max - inst.p_ratio_bound)
+    d = 0.25 * r
+    p_hat = 0.45 * r
+    steps = []
+    for kappa in (1.0, -1.0):
+        learner = LearnGreedyState(
+            r_target=r, d=d, budget=1000, p_max=inst.p_max, rng=FixedSign(kappa)
+        )
+        learner.p_hat, learner.s = p_hat, s
+        block = learner.next_block(s, r)
+        assert block == [p_hat + kappa * d]
+        learner.observe(s, [expected_demand(inst, block[0], r)])
+        assert d < learner.p_hat < r - d  # interior: the projection did not clip
+        steps.append(learner.p_hat - p_hat)
+    analytic = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p_hat
+    assert 0.5 * (steps[0] + steps[1]) == pytest.approx(
+        analytic / (2.0 * inst.p_max * s), abs=1e-12
+    )
+
+
 def test_greedy_learner_iterates_stay_projected(inst_symmetric):
     inst = inst_symmetric
     r_target = 1.2
