@@ -10,7 +10,10 @@ recursion (``solve_segment``, ``curve_from_markdown_start`` and the backward
 sweep ``scalar_solve_curve``, the solver the scan replaced), the linear scan
 and the brute-force reset.  The linear scan decides each candidate start
 from its segment's initial price alone, the value ``curve_from_markdown_start``
-tests, and builds no curve.
+tests, and builds no curve; it rolls a chunk of starts at once, each start's
+initial price bit-identical to ``segment_initial_price``'s.  The brute-force
+reset tests a chunk of plan lengths per numpy pass, and the gradient check
+evaluates the estimate from its two perturbed prices.
 """
 
 from __future__ import annotations
@@ -243,30 +246,82 @@ def dense_solve(system: FocSystem) -> np.ndarray:
     return np.linalg.solve(system.matrix(), system.rhs())
 
 
+def _segment_initial_prices(
+    theta: PolicyParams, r_md: np.ndarray, first: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``segment_initial_price`` for the starts first, first+1, ... at once.
+
+    Row j holds the coefficient pairs (pa, pb) and (ra, rb) of start
+    first + j and starts moving at round first + j, so the rows already
+    moving are a leading block.  Each round applies the one-step rule to that
+    block with the scalar loop's operations and operand order, so every row
+    ends bit-identical to the scalar roll.  Returns the final-round
+    condition's denominators and the initial prices; no start is tested here.
+    """
+    c1, c2 = theta.c1, theta.c2
+    k = len(r_md)
+    p = np.zeros((k, 2))  # columns pa, pb
+    p[:, 0] = 1.0
+    r = np.zeros((k, 2))  # columns ra, rb
+    r[:, 1] = r_md
+    step = np.empty((k, 2))
+    for t in range(first, horizon):
+        m = t - first + 1
+        pm, rm, sm = (p, r, step) if m >= k else (p[:m], r[:m], step[:m])
+        np.multiply(rm, c1 / (t + 1.0 + c1), out=sm)
+        rm *= t
+        rm += pm
+        rm /= t + 1.0
+        pm -= sm
+    denom = p[:, 0] - c1 * r[:, 0]
+    return denom, (c1 * r[:, 1] + c2 - p[:, 1]) / denom
+
+
+# Candidate starts in the first chunk of the linear scan; each later chunk
+# doubles.  A chunk rolls every round from its first start to the horizon.
+SCAN_CHUNK = 128
+
+
 def linear_scan_markdown_start(
     theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
 ) -> int:
     """Smallest feasible markdown start by exhaustive scan (test oracle).
 
-    Tries every start from ``t_start`` to ``horizon`` in turn and decides each
-    from its segment's initial price alone: a start is feasible when
-    ``segment_initial_price`` succeeds and lands in [0, p_max] up to
-    FEASIBILITY_TOL, the test ``curve_from_markdown_start`` makes before it
-    builds a curve.  No curve is built.
+    Tries every start from ``t_start`` to ``horizon`` in ascending order and
+    decides each from its segment's initial price alone, by the rules of
+    ``segment_initial_price`` and ``curve_from_markdown_start``: a start
+    before the horizon needs a diagonally dominant system and a final-round
+    denominator of at least 1e-12 in size, and its initial price must lie in
+    [0, p_max] up to FEASIBILITY_TOL.  No curve is built.  The initial prices
+    of a chunk of starts are rolled together by ``_segment_initial_prices``,
+    bit-identical to ``segment_initial_price``; chunks start at
+    ``SCAN_CHUNK`` starts and double, and the first feasible start wins.
     """
     if not 1 <= t_start <= horizon:
         raise ValueError("need 1 <= t_start <= horizon")
     if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
         raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
-    for t_md in range(t_start, horizon + 1):
-        r_md = (t_start * r_start + (t_md - t_start) * p_max) / t_md
-        try:
-            p0 = segment_initial_price(theta, r_md, t_md, horizon)
-        except SolverError:
-            continue
-        # Negated as in curve_from_markdown_start, so a NaN is decided alike.
-        if not (p0 < -FEASIBILITY_TOL or p0 > p_max + FEASIBILITY_TOL):
-            return t_md
+    first = t_start
+    # The dominance margin grows with the start, by c1/(start + 1) a step, far
+    # above its sum's rounding, so the starts that fail it are a leading run;
+    # they are never rolled.  The horizon start needs no test.
+    while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
+        first += 1
+    width = SCAN_CHUNK
+    base = t_start * r_start
+    # Overflow and NaN pass silently, as they do in the scalar loop's floats.
+    with np.errstate(all="ignore"):
+        while first <= horizon:
+            t_md = np.arange(first, min(first + width, horizon + 1), dtype=float)
+            r_md = (base + (t_md - t_start) * p_max) / t_md
+            denom, p0 = _segment_initial_prices(theta, r_md, first, horizon)
+            # Negated as in curve_from_markdown_start, so a NaN is decided alike.
+            out = (p0 < -FEASIBILITY_TOL) | (p0 > p_max + FEASIBILITY_TOL)
+            feasible = np.flatnonzero(~(np.abs(denom) < 1e-12) & ~out)
+            if len(feasible):
+                return first + int(feasible[0])
+            first += len(t_md)
+            width *= 2
     raise SolverError("no feasible markdown start found by linear scan")
 
 
@@ -357,17 +412,33 @@ def check_foc_residual(
     return CheckResult("foc_residual", worst <= FOC_TOL, f"max residual {worst:.3e}")
 
 
+# Values of N that ``brute_force_reset`` tests per numpy pass.
+RESET_CHUNK = 512
+
+
 def brute_force_reset(t: int, r_t: float, r_target: float, p_max: float, n_max: int = 10000):
     """Smallest N such that N extreme prices plus one in-range correction hit
-    the target average exactly.  Exhaustive oracle for reset plans."""
+    the target average exactly.  Exhaustive oracle for reset plans.
+
+    Tests N = 0, 1, ..., n_max in order, ``RESET_CHUNK`` values per numpy
+    pass, each with the correction ``(t + N + 1)*r_target - t*r_t - N*extreme``;
+    None when no N up to n_max works.
+    """
     if abs(r_t - r_target) <= RESET_TOL:
         return 0
     eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
     extreme = p_max if r_t < r_target else 0.0
-    for n in range(n_max + 1):
-        final = (t + n + 1) * r_target - t * r_t - n * extreme
-        if -eps <= final <= p_max + eps:
-            return n
+    for lo in range(0, n_max + 1, RESET_CHUNK):
+        n = np.arange(lo, min(lo + RESET_CHUNK, n_max + 1), dtype=float)
+        # (t + n + 1)*r_target - t*r_t - n*extreme; the integer sum is exact.
+        final = (n + (t + 1)) * r_target
+        final -= t * r_t
+        final -= n * extreme
+        accepted = final >= -eps
+        accepted &= final <= p_max + eps
+        hit = int(accepted.argmax())
+        if accepted[hit]:
+            return lo + hit
     return None
 
 
@@ -406,34 +477,36 @@ def _gradient_z_scores(
     """|z| of the Monte-Carlo mean of the one-point gradient estimate against
     the analytic revenue derivative, for each point and shock kind in turn.
 
-    The estimate is computed into four buffers allocated once; each step keeps
-    the operand order of ``((pt*demand)*kappa)/d`` with
-    ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks``, so every z is
-    bit-identical to evaluating that expression with fresh arrays.
+    The estimate is ``((pt*demand)*kappa)/d`` with
+    ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks`` and kappa = ±1, so
+    pt, the demand before its shock and pt*kappa each take two values,
+    computed once in scalar form.  Each draw gathers its base demand, adds
+    its shock, multiplies by its pt*kappa and divides by d, into two buffers
+    allocated once.  A sign flip is exact and commutes with rounding, so every
+    z is bit-identical to evaluating the expression with fresh arrays.
     """
-    kappa, pt, demand, g = (np.empty(n_draws) for _ in range(4))
+    g, w = np.empty(n_draws), np.empty(n_draws)
     for _ in range(n_points):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(inst.p_ratio_bound, inst.p_max)
         d = 0.5 * (r - inst.p_ratio_bound)
         p = rng.uniform(d, r - d)
         target = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p
+        kappas = (-1.0, 1.0)  # indexed by the drawn bit
+        pt = [p + kappa * d for kappa in kappas]
+        base = np.array([inst.b - inst.a * x + inst.eta_plus * (r - x) for x in pt])
+        signed_pt = np.array([x * kappa for x, kappa in zip(pt, kappas)])
         for shocks in (
             rng.uniform(-0.2, 0.2, size=n_draws),
             rng.normal(0.0, 0.2, size=n_draws),
         ):
-            np.multiply(rng.integers(0, 2, size=n_draws), 2.0, out=kappa)
-            np.subtract(kappa, 1.0, out=kappa)
-            np.multiply(kappa, d, out=pt)
-            np.add(p, pt, out=pt)
-            np.multiply(inst.a, pt, out=demand)
-            np.subtract(inst.b, demand, out=demand)
-            np.subtract(r, pt, out=g)  # the reference gap, until g is overwritten below
-            np.multiply(inst.eta_plus, g, out=g)
-            np.add(demand, g, out=demand)
-            np.add(demand, shocks, out=demand)
-            np.multiply(pt, demand, out=g)
-            np.multiply(g, kappa, out=g)
+            bits = rng.integers(0, 2, size=n_draws)
+            # The bits are 0 or 1, so "clip" changes no index; "raise" would
+            # gather through a temporary copy.
+            np.take(base, bits, out=g, mode="clip")
+            np.add(g, shocks, out=g)
+            np.take(signed_pt, bits, out=w, mode="clip")
+            np.multiply(g, w, out=g)
             np.divide(g, d, out=g)
             se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
             yield abs(float(np.mean(g)) - target) / se

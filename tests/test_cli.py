@@ -136,11 +136,6 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert (out1 / "regret.csv").read_bytes() == (out2 / "regret.csv").read_bytes()
 
 
-def test_validate_default_config_passes(tmp_path):
-    repo_cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
-    assert main(["validate", "--config", repo_cfg]) == 0
-
-
 def test_sweep_csv_contract(tmp_path):
     path = write_config(
         tmp_path, {"run.T": None, "run.T_list": [50, 150], "run.seeds": 2}

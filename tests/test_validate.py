@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from refprice import PolicyParams, SolverError, solve_curve, true_policy_params
 from refprice.cli import main
 from refprice.curve import FEASIBILITY_TOL
+from refprice.policies import RESET_TOL
 from refprice import validate
 from refprice.validate import (
     _gradient_z_scores,
+    brute_force_reset,
     check_gradient_unbiased,
     curve_from_markdown_start,
+    dominance_margin,
     linear_scan_markdown_start,
     random_instance,
     random_theta,
@@ -147,3 +150,180 @@ def test_gradient_z_bit_identical_to_allocating_expression(seed):
     assert [z.hex() for z in got] == [z.hex() for z in expected]
     result = check_gradient_unbiased(np.random.default_rng(seed), n_points=3, n_draws=10**4)
     assert result.detail == f"max |z| {max([0.0, *expected]):.2f} (limit 3)"
+
+
+def scalar_linear_scan(theta, r_start, t_start, horizon, p_max):
+    """Reference for linear_scan_markdown_start: one start at a time, each
+    decided by segment_initial_price."""
+    for t_md in range(t_start, horizon + 1):
+        r_md = (t_start * r_start + (t_md - t_start) * p_max) / t_md
+        try:
+            p0 = segment_initial_price(theta, r_md, t_md, horizon)
+        except SolverError:
+            continue
+        if not (p0 < -FEASIBILITY_TOL or p0 > p_max + FEASIBILITY_TOL):
+            return t_md
+    raise SolverError("no feasible markdown start found by linear scan")
+
+
+def recording_scan(args, width):
+    """linear_scan_markdown_start with the first chunk ``width`` starts wide;
+    returns its result (None on SolverError) and every chunk it rolled as
+    (first start, r_md, denominators, initial prices)."""
+    chunks = []
+    roll = validate._segment_initial_prices
+
+    def spy(theta, r_md, first, horizon):
+        denom, p0 = roll(theta, r_md, first, horizon)
+        chunks.append((first, r_md, denom, p0))
+        return denom, p0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "_segment_initial_prices", spy)
+        mp.setattr(validate, "SCAN_CHUNK", width)
+        try:
+            return linear_scan_markdown_start(*args), chunks
+        except SolverError:
+            return None, chunks
+
+
+def assert_scan_matches_scalar(theta, r_start, t_start, horizon, p_max, width):
+    """The chunked scan, first chunk ``width`` starts wide, returns the
+    scalar scan's start (or raises its SolverError).  Every start it rolls
+    gets segment_initial_price's r_md, initial price and SolverError, to the
+    bit; the chunks run from the first start that passes dominance, double
+    in width, and end at the returned start or at the horizon.  Returns the
+    start (None on SolverError) and the chunks."""
+    args = (theta, r_start, t_start, horizon, p_max)
+    got, chunks = recording_scan(args, width)
+    try:
+        assert got == scalar_linear_scan(*args)
+    except SolverError:
+        assert got is None
+    first = t_start
+    while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
+        first += 1
+    for i, (chunk_first, r_md, denom, p0) in enumerate(chunks):
+        assert chunk_first == first and len(r_md) == min(width << i, horizon + 1 - first)
+        for j in range(len(r_md)):
+            t_md = first + j
+            r_md_scalar = (t_start * r_start + (t_md - t_start) * p_max) / t_md
+            assert float(r_md[j]).hex() == r_md_scalar.hex()
+            try:
+                p0_scalar = segment_initial_price(theta, r_md_scalar, t_md, horizon)
+            except SolverError:
+                assert t_md < horizon
+                assert dominance_margin(theta.c1, t_md, horizon) <= 0.0 or abs(denom[j]) < 1e-12
+                continue
+            assert abs(denom[j]) >= 1e-12 or t_md == horizon
+            assert float(p0[j]).hex() == p0_scalar.hex()
+        first += len(r_md)
+    if got is None:
+        assert first == horizon + 1
+    else:
+        assert chunks[-1][0] <= got < first
+    return got, chunks
+
+
+SCAN_WIDTHS = [1, 3, validate.SCAN_CHUNK]
+
+
+@pytest.mark.parametrize("width", SCAN_WIDTHS)
+def test_linear_scan_edge_starts(width):
+    # The first feasible start lies past the default first chunk, behind
+    # starts that fail dominance.
+    theta = PolicyParams(0.3692214232506552, 0.6903545904521928)
+    args = (theta, 0.3963408196247614, 5, 320, 1.3072149698289173)
+    got, chunks = assert_scan_matches_scalar(*args, width)
+    assert got == 235 and len(chunks) > 1
+    assert dominance_margin(theta.c1, 5, 320) <= 0.0 and chunks[0][0] > 5
+    # Only the horizon start is feasible.
+    theta = PolicyParams(0.1712756069501382, 0.9701797407771093)
+    args = (theta, 0.24538626603452368, 8, 15, 1.0789976554298106)
+    assert assert_scan_matches_scalar(*args, width)[0] == 15
+    # No start is feasible.
+    theta = PolicyParams(0.36767868958872574, 0.6937067751068329)
+    args = (theta, 0.885314245757298, 2, 394, 0.9206131369790599)
+    assert assert_scan_matches_scalar(*args, width)[0] is None
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    c1=st.floats(0.0, 0.49),
+    c2_share=st.floats(0.05, 1.5),
+    p_max=st.floats(0.5, 2.0),
+    t_start=st.integers(1, 10),
+    length=st.integers(0, 400),
+    r_share=st.floats(0.0, 1.0),
+    width=st.sampled_from(SCAN_WIDTHS),
+)
+def test_linear_scan_initial_prices_bit_identical(
+    c1, c2_share, p_max, t_start, length, r_share, width
+):
+    theta = PolicyParams(c1, c2_share * p_max)
+    assert_scan_matches_scalar(theta, r_share * p_max, t_start, t_start + length, p_max, width)
+
+
+def brute_force_reset_loop(t, r_t, r_target, p_max, n_max=10000):
+    """Reference for brute_force_reset: one N at a time."""
+    if abs(r_t - r_target) <= RESET_TOL:
+        return 0
+    eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
+    extreme = p_max if r_t < r_target else 0.0
+    for n in range(n_max + 1):
+        final = (t + n + 1) * r_target - t * r_t - n * extreme
+        if -eps <= final <= p_max + eps:
+            return n
+    return None
+
+
+def reset_targets_at_edge(t, r_t, p_max, n, raising, at_ceiling):
+    """Two adjacent targets between which the reference's N = n correction
+    crosses the edge -eps (or p_max + eps) of the accepted range, when the
+    extreme price is p_max (``raising``) or 0; the correction grows with the
+    target, so a few ulp steps from the closed-form target find them."""
+
+    def accepted(target):
+        eps = 1e-12 * max(1.0, p_max, t * max(r_t, target))
+        extreme = p_max if r_t < target else 0.0
+        final = (t + n + 1) * target - t * r_t - n * extreme
+        return -eps <= final <= p_max + eps
+
+    extreme = p_max if raising else 0.0
+    edge = p_max if at_ceiling else 0.0
+    guess = (edge + t * r_t + n * extreme) / (t + n + 1)
+    eps = 1e-12 * max(1.0, p_max, t * max(r_t, guess))
+    target = (edge + (eps if at_ceiling else -eps) + t * r_t + n * extreme) / (t + n + 1)
+    # Towards the edge: up when accepted at the ceiling or rejected at the floor.
+    up = accepted(target) == at_ceiling
+    for _ in range(64):
+        step = float(np.nextafter(target, math.inf if up else -math.inf))
+        if accepted(step) != accepted(target):
+            return target, step
+        target = step
+    return target, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.one_of(st.none(), st.tuples(st.booleans(), st.booleans())),
+    n_max=st.one_of(st.just(10000), st.integers(0, 3000)),
+    width=st.sampled_from([3, 64, validate.RESET_CHUNK]),
+)
+def test_brute_force_reset_matches_loop(seed, edge, n_max, width):
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, 500))
+    p_max = rng.uniform(0.5, 2.0)
+    r_t = rng.uniform(0.0, p_max)
+    if edge is None:
+        r_targets = (rng.uniform(0.0, p_max),)
+    else:
+        # Put the correction of some N within an ulp of the accepted range.
+        n = int(rng.integers(0, 3000))
+        r_targets = reset_targets_at_edge(t, r_t, p_max, n, *edge)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "RESET_CHUNK", width)
+        for r_target in r_targets:
+            args = (t, r_t, r_target, p_max, n_max)
+            assert brute_force_reset(*args) == brute_force_reset_loop(*args)
