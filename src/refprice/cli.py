@@ -2,9 +2,12 @@
 
 Every command takes ``--config PATH`` plus optional dotted overrides
 (``run.seeds=50``); ``--out`` and ``--threads`` are shorthands for
-``run.out_dir`` and ``run.threads``.  The REFPRICE_SEED environment variable
+``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
+processes of a sweep and of a large CSV write; it defaults to the usable
+cores, and 1 starts no process.  The REFPRICE_SEED environment variable
 overrides ``run.base_seed`` (explicit overrides win).  Exit codes: 0 success,
-1 validation failure, 2 usage or configuration error.
+1 validation failure or an error while running (including a file that
+cannot be written), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -43,7 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", help="output directory (overrides run.out_dir)")
-        p.add_argument("--threads", type=int, help="worker cap (overrides run.threads)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="worker cap for sweeps and large CSV writes (overrides run.threads)",
+        )
         p.add_argument(
             "overrides",
             nargs="*",
@@ -75,7 +82,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     theta = true_policy_params(cfg.instance)
     curve = solve_curve(theta, cfg.run.r1, 1, cfg.run.T, cfg.instance.p_max)
     path = os.path.join(_outdir(cfg), "curve.csv")
-    write_curve_csv(curve, path)
+    write_curve_csv(curve, path, threads=cfg.run.threads)
     print(
         f"wrote {path}: horizon {cfg.run.T}, markdown starts at round "
         f"{curve.markdown_start}"
@@ -93,7 +100,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         for i in range(cfg.run.seeds)
     ]
     path = os.path.join(_outdir(cfg), "episodes.csv")
-    write_episodes_csv(records, path)
+    write_episodes_csv(records, path, threads=cfg.run.threads)
     mean_total = sum(r.expected_total for r in records) / len(records)
     print(f"wrote {path}: {len(records)} episodes, mean expected total {mean_total:.6g}")
     return 0
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SolverError, ValueError) as exc:
+    except (DomainError, SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

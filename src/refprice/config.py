@@ -31,6 +31,14 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class RunConfig:
     T: Optional[int] = None
@@ -39,7 +47,7 @@ class RunConfig:
     base_seed: int = 0
     r1: float = 0.0
     out_dir: str = "out"
-    threads: int = 1
+    threads: int = field(default_factory=usable_cores)
 
 
 @dataclass
@@ -192,7 +200,9 @@ def _parse_run(raw, inst: Instance) -> RunConfig:
         if isinstance(block["out_dir"], (bool, list, dict)):
             raise ConfigError(f"out_dir must be a path, got {block['out_dir']!r}")
         run.out_dir = str(block["out_dir"])
-    run.threads = _integer(block.get("threads", 1), "threads")
+    # A null or absent threads means every usable core.
+    if block.get("threads") is not None:
+        run.threads = _integer(block["threads"], "threads")
     if run.threads < 1:
         raise ConfigError("threads must be at least 1")
     return run

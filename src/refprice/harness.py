@@ -12,6 +12,11 @@ base_seed + i, with the same seed list reused across the horizons of a sweep.
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import os
+import shutil
+import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -325,47 +330,118 @@ def _format_column(chunk: np.ndarray) -> list:
     return np.repeat(strings, np.diff(starts, append=len(chunk))).tolist()
 
 
-def _write_csv(path, meta: dict, header: str, blocks, footer=()) -> None:
+def _write_rows(f, blocks, lo: int, hi: int) -> None:
+    """Write rows ``lo`` to ``hi - 1`` of the concatenated ``blocks`` to ``f``
+    and flush it.  Each block's rows go ``CSV_ROWS`` at a time from the first
+    row in range, one column at a time."""
+    for columns in blocks:
+        n = len(columns[0]) if columns else 0
+        end = min(hi, n)
+        for start in range(max(lo, 0), end, CSV_ROWS):
+            by_bits = {}
+            cells = []
+            for column in columns:
+                chunk = np.ascontiguousarray(column[start : min(start + CSV_ROWS, end)])
+                key = (chunk.dtype.str, chunk.tobytes())
+                if key not in by_bits:
+                    by_bits[key] = _format_column(chunk)
+                cells.append(by_bits[key])
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        lo, hi = lo - n, hi - n
+    f.flush()
+
+
+def _write_shares(f, blocks, bounds, directory) -> None:
+    """Write rows ``bounds[k]`` to ``bounds[k + 1] - 1`` for every k, in order.
+
+    Share 0 is formatted by this process straight into ``f``; every later
+    share by a helper forked before that starts, so it inherits ``blocks``
+    instead of receiving a pickled copy, into an anonymous temp file in
+    ``directory``, appended to ``f`` once the helper has exited.  A helper
+    that fails raises ``OSError``; on any failure the helpers still running
+    are terminated, and every helper is joined and every temp file closed
+    before this returns or raises.
+    """
+    # A helper inherits f's buffer: it must be empty, or a flush in the
+    # helper would write its lines a second time.
+    f.flush()
+    fork = multiprocessing.get_context("fork")
+    temps, helpers = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            temps.append(tempfile.TemporaryFile("w+", dir=directory, encoding=f.encoding))
+            helper = fork.Process(target=_write_rows, args=(temps[-1], blocks, lo, hi))
+            helper.start()
+            helpers.append(helper)
+        _write_rows(f, blocks, bounds[0], bounds[1])
+        for k, (helper, tmp) in enumerate(zip(helpers, temps), 1):
+            helper.join()
+            if helper.exitcode != 0:
+                raise OSError(
+                    f"CSV share {k} (rows {bounds[k]} to {bounds[k + 1] - 1}): "
+                    f"writer process exited with code {helper.exitcode}"
+                )
+            tmp.seek(0)
+            shutil.copyfileobj(tmp.buffer, f.buffer)
+    finally:
+        for helper in helpers:
+            helper.terminate()  # a no-op once the helper has been joined
+            helper.join()
+            helper.close()
+        for tmp in temps:
+            tmp.close()
+
+
+def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
     """Write the ``# key=value`` lines of ``meta`` in key order, the header,
     each block's columns as rows, then the ``footer`` lines.
 
     A block is a sequence of equal-length int or float columns (arrays,
-    views or lists); columns of unequal length raise ``ValueError``.  A cell
-    is ``repr`` of the column's ``.tolist()`` entry: ints print as ints,
-    floats in their shortest round-trip form.
+    views or lists); columns of unequal length raise ``ValueError`` before
+    the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
+    entry: ints print as ints, floats in their shortest round-trip form.
 
-    Each block is formatted and written ``CSV_ROWS`` rows at a time, one
-    column at a time, so memory is bounded by the chunk.  A distinct cell is
-    formatted once where it repeats: a run of equal cells within a column
-    shares one string, and a column chunk identical to an earlier column's
-    in the same block reuses that column's strings.  Equal means the same
-    dtype and the same raw bits, never ``==``: ``0.0`` and ``-0.0``, or two
-    NaN payloads, never share a string.
+    The rows are formatted ``CSV_ROWS`` at a time, one column at a time, so
+    memory is bounded by the chunk.  A distinct cell is formatted once where
+    it repeats: a run of equal cells within a column shares one string, and
+    a column chunk identical to an earlier column's in the same block reuses
+    that column's strings.  Equal means the same dtype and the same raw
+    bits, never ``==``: ``0.0`` and ``-0.0``, or two NaN payloads, never
+    share a string.
+
+    The rows are split into W = min(``threads``, rows // ``CSV_ROWS``)
+    contiguous shares, so an output under two chunks is written by this
+    process alone.  With W > 1 this process writes share 0 and W - 1 forked
+    helpers the others (see ``_write_shares``); W drops to 1 where ``fork``
+    is unavailable or another thread is running, since forking a process
+    with threads is unsafe.  A cell's text does not depend on where a chunk
+    or a share begins, so the bytes do not depend on W.
     """
+    blocks = [[np.asarray(column) for column in columns] for columns in blocks]
+    for columns in blocks:
+        lengths = [len(column) for column in columns]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"CSV block columns differ in length: {lengths}")
+    rows = sum(len(columns[0]) for columns in blocks if columns)
+    shares = min(threads, rows // CSV_ROWS)
+    if shares > 1 and (
+        threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        shares = 1
     with open(path, "w") as f:
         for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n")
         f.write(header + "\n")
-        for columns in blocks:
-            columns = [np.asarray(column) for column in columns]
-            lengths = [len(column) for column in columns]
-            if len(set(lengths)) > 1:
-                raise ValueError(f"CSV block columns differ in length: {lengths}")
-            for lo in range(0, lengths[0] if lengths else 0, CSV_ROWS):
-                by_bits = {}
-                cells = []
-                for column in columns:
-                    chunk = np.ascontiguousarray(column[lo : lo + CSV_ROWS])
-                    key = (chunk.dtype.str, chunk.tobytes())
-                    if key not in by_bits:
-                        by_bits[key] = _format_column(chunk)
-                    cells.append(by_bits[key])
-                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if shares > 1:
+            bounds = [rows * k // shares for k in range(shares + 1)]
+            _write_shares(f, blocks, bounds, os.path.dirname(os.path.abspath(path)))
+        else:
+            _write_rows(f, blocks, 0, rows)
         for line in footer:
             f.write(line + "\n")
 
 
-def write_episodes_csv(records: Sequence[EpisodeRecord], path) -> None:
+def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1) -> None:
     meta = {}
     if records:
         rec = records[0]
@@ -383,8 +459,8 @@ def write_episodes_csv(records: Sequence[EpisodeRecord], path) -> None:
                 meta[f"policy_{key}"] = rec.meta[key]
     blocks = (
         (
-            np.full(rec.T, i),
-            np.full(rec.T, rec.seed),
+            np.broadcast_to(i, rec.T),
+            np.broadcast_to(rec.seed, rec.T),
             rec.t,
             rec.price,
             rec.reference,
@@ -395,7 +471,7 @@ def write_episodes_csv(records: Sequence[EpisodeRecord], path) -> None:
         for i, rec in enumerate(records)
     )
     header = "episode,seed,t,price,reference,demand,expected_revenue,realized_revenue"
-    _write_csv(path, meta, header, blocks)
+    _write_csv(path, meta, header, blocks, threads=threads)
 
 
 def write_regret_csv(
@@ -422,6 +498,6 @@ def write_regret_csv(
     )
 
 
-def write_curve_csv(curve, path) -> None:
+def write_curve_csv(curve, path, threads: int = 1) -> None:
     t = np.arange(curve.t_start, curve.t_start + len(curve.prices))
-    _write_csv(path, {}, "t,price,reference", [(t, curve.prices, curve.refs)])
+    _write_csv(path, {}, "t,price,reference", [(t, curve.prices, curve.refs)], threads=threads)

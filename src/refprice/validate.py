@@ -82,6 +82,8 @@ def segment_initial_price(
             (t * rb + pb) / (t + 1.0),
         )
     denom = pa - c1 * ra
+    # Guards inputs outside PolicyParams' range: for c1 in [0, 0.5) a start
+    # that passes dominance has |denom| >= 0.1 (tests/test_validate.py).
     if abs(denom) < 1e-12:
         raise SolverError("degenerate final-round condition")
     return (c1 * rb + c2 - pb) / denom
@@ -316,6 +318,8 @@ def linear_scan_markdown_start(
             r_md = (base + (t_md - t_start) * p_max) / t_md
             denom, p0 = _segment_initial_prices(theta, r_md, first, horizon)
             # Negated as in curve_from_markdown_start, so a NaN is decided alike.
+            # The denominator rule guards c1 outside [0, 0.5), as in
+            # segment_initial_price.
             out = (p0 < -FEASIBILITY_TOL) | (p0 > p_max + FEASIBILITY_TOL)
             feasible = np.flatnonzero(~(np.abs(denom) < 1e-12) & ~out)
             if len(feasible):

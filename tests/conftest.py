@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,15 @@ def inst_symmetric():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running: the sweep's pool
+    and the CSV writer's helpers must all be joined before they return."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.kill()
+        child.join()
+    assert not children, f"child processes left running: {children}"

@@ -223,3 +223,31 @@ def test_null_c_t1_means_default(tmp_path):
         assert main(args + [f"policy.c_t1={c_t1}"]) == 0
         outs.append((out / "episodes.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_threads_default_to_usable_cores(tmp_path):
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    path = write_config(tmp_path)
+    assert load_config(path).run.threads == cores
+    assert load_config(path, overrides=["run.threads=null"]).run.threads == cores
+    cfg = load_config(path, overrides=["run.threads=3"])
+    assert cfg.run.threads == 3
+    assert config_to_dict(parse_config(config_to_dict(cfg))) == config_to_dict(cfg)
+
+
+@pytest.mark.parametrize("args", [["run.threads=0"], ["--threads", "0"], ["run.threads=-2"]])
+def test_threads_below_one_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "o8"
+    path = os.path.join(CONFIGS, "default.yaml")
+    assert main(["solve", "--config", path, "--out", str(out), "run.T=50"] + args) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    """An output directory under a regular file cannot be made."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    path = os.path.join(CONFIGS, "default.yaml")
+    assert main(["solve", "--config", path, "--out", str(out), "run.T=50"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

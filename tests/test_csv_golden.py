@@ -17,6 +17,7 @@ the second has the curve's long hold phase at p_max.
 """
 
 import hashlib
+import multiprocessing
 import os
 
 import pytest
@@ -89,3 +90,26 @@ def test_csv_matches_golden(tmp_path, name):
     assert main(args + overrides) == 0
     data = (tmp_path / filename).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["curve_long", "episodes_two_price_noiseless"])
+def test_csv_golden_does_not_depend_on_threads(tmp_path, monkeypatch, name, threads):
+    """Both outputs are over two ``CSV_ROWS`` chunks, so ``--threads 2``
+    forks one helper for the second half of the rows; ``--threads 1`` starts
+    no process at all."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    command, config, overrides, filename, digest = CASES[name]
+    args = [command, "--config", os.path.join(CONFIGS, config), "--out", str(tmp_path)]
+    assert main(args + ["--threads", str(threads)] + overrides) == 0
+    data = (tmp_path / filename).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert len(starts) == threads - 1
+    assert os.listdir(tmp_path) == [filename]

@@ -1,5 +1,8 @@
+import multiprocessing
 import os
 import struct
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -344,19 +347,132 @@ def _csv_block(data, n):
     return columns
 
 
+def _assert_writes_like_rowwise(out, blocks, threads):
+    meta, header, footer = {"b": 2, "a": "x"}, "h", ["# slope=nan"]
+    _write_csv(out / "chunked.csv", meta, header, blocks, footer, threads=threads)
+    _write_csv_rowwise(out / "rowwise.csv", meta, header, blocks, footer)
+    assert (out / "chunked.csv").read_text() == (out / "rowwise.csv").read_text()
+
+
 @pytest.mark.parametrize("rows", [1, 3, CSV_ROWS])
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(data=st.data())
 def test_write_csv_matches_rowwise_writer(tmp_path_factory, rows, data):
+    """Byte for byte the row loop's output, for any chunk size and any
+    number of shares; with 1- and 3-row chunks, 2 and 3 threads split the
+    rows into up to that many shares, wherever the boundaries fall."""
     blocks = [_csv_block(data, n) for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))]
     out = tmp_path_factory.getbasetemp()
-    meta, header, footer = {"b": 2, "a": "x"}, "h", ["# slope=nan"]
     with mock.patch.object(harness, "CSV_ROWS", rows):
-        _write_csv(out / "chunked.csv", meta, header, blocks, footer)
-    _write_csv_rowwise(out / "rowwise.csv", meta, header, blocks, footer)
-    assert (out / "chunked.csv").read_text() == (out / "rowwise.csv").read_text()
+        for threads in (1, 2, 3):
+            _assert_writes_like_rowwise(out, blocks, threads)
+
+
+def _csv_block_fixed(n):
+    """Distinct floats, a copy of them, ints and a strided view."""
+    x = np.arange(n) / 7.0
+    return [x, x.copy(), np.arange(n), np.repeat(-x, 2)[::2]]
+
+
+def _run_block(n, value=0.5):
+    """A float column of n equal cells and an int column counting rows."""
+    return [np.full(n, value), np.arange(n)]
+
+
+# name -> (CSV_ROWS, blocks, threads, the share boundaries the case needs)
+SHARE_CASES = {
+    # Share 1 starts inside the block and inside its second 3-row chunk.
+    "share_splits_block": (3, [_csv_block_fixed(10)], 2, [0, 5, 10]),
+    "boundary_on_block_boundary": (3, [_csv_block_fixed(6), _csv_block_fixed(6)], 2, [0, 6, 12]),
+    # Every boundary falls inside one run of equal prices.
+    "boundary_inside_run": (3, [_run_block(12)], 3, [0, 4, 8, 12]),
+    "zero_row_blocks": (
+        1,
+        [_run_block(0), _csv_block_fixed(7), _run_block(0), _run_block(7, -0.0), _run_block(0)],
+        2,
+        [0, 7, 14],
+    ),
+    "python_lists": (1, [[[0.1 * i for i in range(9)], list(range(9))]], 3, [0, 3, 6, 9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CASES))
+def test_write_csv_shares_at_edges(tmp_path, monkeypatch, name):
+    rows, blocks, threads, bounds = SHARE_CASES[name]
+    monkeypatch.setattr(harness, "CSV_ROWS", rows)
+    shares = []
+    write_shares = harness._write_shares
+
+    def spy(f, blocks, bounds, directory):
+        shares.append(bounds)
+        write_shares(f, blocks, bounds, directory)
+
+    monkeypatch.setattr(harness, "_write_shares", spy)
+    _assert_writes_like_rowwise(tmp_path, blocks, threads)
+    assert shares == [bounds]
+
+
+def _failing_rows(fail_share0, fail_helper):
+    """``_write_rows`` with a failure injected into this process's share 0
+    and into the helpers' shares, each a callable or None."""
+    write_rows = harness._write_rows
+
+    def write(f, blocks, lo, hi):
+        fail = fail_share0 if lo == 0 else fail_helper
+        if fail is not None:
+            fail()
+        write_rows(f, blocks, lo, hi)
+
+    return write
+
+
+def _raise():
+    raise RuntimeError("injected")
+
+
+def _long_blocks():
+    return [_run_block(10), _run_block(10, 1.5)]
+
+
+def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
+    """Forking a process with threads is unsafe: this process writes alone."""
+    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "_write_shares", None)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _assert_writes_like_rowwise(tmp_path, _long_blocks(), 3)
+    finally:
+        stop.set()
+        thread.join()
+
+
+@pytest.mark.parametrize(
+    "fail_helper, code", [(_raise, 1), (lambda: os._exit(7), 7)], ids=["raises", "dies"]
+)
+def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper, code):
+    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "_write_rows", _failing_rows(None, fail_helper))
+    with pytest.raises(OSError, match=f"CSV share 1 .*exited with code {code}"):
+        _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
+    """The helpers would sleep a minute: they are terminated, not waited for."""
+    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "_write_rows", _failing_rows(_raise, lambda: time.sleep(60)))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="injected"):
+        _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         _write_csv(tmp_path / "bad.csv", {}, "t,price", [(np.arange(3), [0.5, 1.5])])
+    assert not (tmp_path / "bad.csv").exists()

@@ -264,6 +264,27 @@ def test_linear_scan_initial_prices_bit_identical(
     assert_scan_matches_scalar(theta, r_share * p_max, t_start, t_start + length, p_max, width)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    c1=st.floats(0.0, 0.5, exclude_max=True),
+    horizon=st.integers(2, 2000),
+    start_share=st.floats(0.0, 1.0),
+)
+def test_dominant_starts_have_large_denominators(c1, horizon, start_share):
+    """For c1 in PolicyParams' range [0, 0.5), every start that passes the
+    dominance test has a final-round denominator of at least 0.1 in size,
+    far from the 1e-12 rule; the denominator depends on c1, the start and
+    the horizon alone.  It equals the dominance margin only on a one-step
+    segment, where the margin is above 0.5, and stays near 0.2 where the
+    margin nears 0."""
+    first = 1 + int(start_share * (horizon - 1))
+    while first < horizon and dominance_margin(c1, first, horizon) <= 0.0:
+        first += 1
+    theta = PolicyParams(c1, 1.0)
+    denom, _ = validate._segment_initial_prices(theta, np.zeros(horizon + 1 - first), first, horizon)
+    assert np.min(np.abs(denom)) >= 0.1
+
+
 def brute_force_reset_loop(t, r_t, r_target, p_max, n_max=10000):
     """Reference for brute_force_reset: one N at a time."""
     if abs(r_t - r_target) <= RESET_TOL:
