@@ -256,8 +256,9 @@ def regret_sweep(
     """Mean regret per horizon plus the fitted log-log slope.
 
     Every horizon's baseline and episodes go to one job list, largest horizon
-    first, run by a single process pool when ``threads > 1``; results are
-    read back in job order, so they do not depend on ``threads``.
+    first, run by a single pool of min(``threads``, jobs) processes when that
+    is over 1; results are read back in job order, so they do not depend on
+    ``threads``.
 
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
@@ -273,8 +274,10 @@ def regret_sweep(
         T = T_list[k]
         jobs.append((inst, noise, None, T, r1, None))
         jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A fork pool starts every worker at once: no more than there are jobs.
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_episode_value, jobs))
     else:
         results = [_episode_value(j) for j in jobs]
@@ -357,10 +360,12 @@ def _write_shares(f, blocks, bounds, directory) -> None:
     Share 0 is formatted by this process straight into ``f``; every later
     share by a helper forked before that starts, so it inherits ``blocks``
     instead of receiving a pickled copy, into an anonymous temp file in
-    ``directory``, appended to ``f`` once the helper has exited.  A helper
-    that fails raises ``OSError``; on any failure the helpers still running
-    are terminated, and every helper is joined and every temp file closed
-    before this returns or raises.
+    ``directory``, appended to ``f`` once the helper has exited.  Where
+    ``directory`` takes no new file (it may be read-only while ``f`` itself
+    is writable), this process writes every share and forks nothing.  A
+    helper that fails raises ``OSError``; on any failure the helpers still
+    running are terminated, and every helper is joined and every temp file
+    closed before this returns or raises.
     """
     # A helper inherits f's buffer: it must be empty, or a flush in the
     # helper would write its lines a second time.
@@ -368,9 +373,14 @@ def _write_shares(f, blocks, bounds, directory) -> None:
     fork = multiprocessing.get_context("fork")
     temps, helpers = [], []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            temps.append(tempfile.TemporaryFile("w+", dir=directory, encoding=f.encoding))
-            helper = fork.Process(target=_write_rows, args=(temps[-1], blocks, lo, hi))
+        try:
+            for _ in bounds[2:]:
+                temps.append(tempfile.TemporaryFile("w+", dir=directory, encoding=f.encoding))
+        except OSError:
+            _write_rows(f, blocks, bounds[0], bounds[-1])
+            return
+        for tmp, lo, hi in zip(temps, bounds[1:-1], bounds[2:]):
+            helper = fork.Process(target=_write_rows, args=(tmp, blocks, lo, hi))
             helper.start()
             helpers.append(helper)
         _write_rows(f, blocks, bounds[0], bounds[1])
@@ -414,8 +424,9 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     process alone.  With W > 1 this process writes share 0 and W - 1 forked
     helpers the others (see ``_write_shares``); W drops to 1 where ``fork``
     is unavailable or another thread is running, since forking a process
-    with threads is unsafe.  A cell's text does not depend on where a chunk
-    or a share begins, so the bytes do not depend on W.
+    with threads is unsafe, and where the output's directory takes no temp
+    file.  A cell's text does not depend on where a chunk or a share
+    begins, so the bytes do not depend on W.
     """
     blocks = [[np.asarray(column) for column in columns] for columns in blocks]
     for columns in blocks:

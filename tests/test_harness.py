@@ -263,6 +263,24 @@ def test_regret_sweep_threads_match_sequential(inst_symmetric):
         assert a.stderr == b.stderr
 
 
+def test_regret_sweep_pool_no_larger_than_jobs(inst_symmetric, monkeypatch):
+    """A fork pool starts all its workers at once: a 2-job sweep starts 2,
+    whatever the thread cap."""
+    workers = []
+    pool = harness.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    kwargs = dict(noise=NoiseSpec.none(), policy_spec={"kind": "optimal_fixed"}, T_list=[60], seeds=1, r1=0.0)
+    seq, _ = regret_sweep(inst_symmetric, **kwargs, threads=1)
+    par, _ = regret_sweep(inst_symmetric, **kwargs, threads=64)
+    assert workers == [2]
+    assert seq == par
+
+
 def test_fit_slope_skips_flagged_and_nonpositive():
     recs = [
         RegretRecord(T=10, n_seeds=1, mean_regret=1.0, stderr=0, baseline_value=1, policy_value_mean=0),
@@ -360,11 +378,14 @@ def _assert_writes_like_rowwise(out, blocks, threads):
 def test_write_csv_matches_rowwise_writer(tmp_path_factory, rows, data):
     """Byte for byte the row loop's output, for any chunk size and any
     number of shares; with 1- and 3-row chunks, 2 and 3 threads split the
-    rows into up to that many shares, wherever the boundaries fall."""
+    rows into up to that many shares, wherever the boundaries fall.  The
+    blocks hold at most 120 rows, under two default chunks, so at the
+    default chunk size every thread count writes in this process alone and
+    only 1 is tried."""
     blocks = [_csv_block(data, n) for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))]
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(harness, "CSV_ROWS", rows):
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3) if rows < CSV_ROWS else (1,):
             _assert_writes_like_rowwise(out, blocks, threads)
 
 
@@ -432,6 +453,32 @@ def _raise():
 
 def _long_blocks():
     return [_run_block(10), _run_block(10, 1.5)]
+
+
+def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch):
+    """A read-only directory holding writable output files: the helpers'
+    temp files cannot be made there, so this process writes every share and
+    starts no process.  Root ignores the directory's mode, so the refusal is
+    also made by ``tempfile``."""
+    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    starts = []
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
+
+    def refuse(*args, dir=None, **kwargs):
+        raise PermissionError(13, "Permission denied", dir)
+
+    monkeypatch.setattr(harness.tempfile, "TemporaryFile", refuse)
+    out = tmp_path / "read_only"
+    out.mkdir()
+    for name in ("chunked.csv", "rowwise.csv"):
+        (out / name).write_text("")
+    out.chmod(0o555)
+    try:
+        _assert_writes_like_rowwise(out, _long_blocks(), 3)
+    finally:
+        out.chmod(0o755)
+    assert starts == []
+    assert sorted(os.listdir(out)) == ["chunked.csv", "rowwise.csv"]
 
 
 def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
