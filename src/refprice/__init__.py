@@ -8,7 +8,6 @@ curves, baseline and learning pricing policies, and a seeded regret harness.
 from .curve import (
     PriceCurve,
     SolverError,
-    curve_value,
     foc_residual,
     solve_curve,
 )
@@ -35,7 +34,6 @@ from .policies import (
     LearnGreedyState,
     LearnThenEarn,
     make_policy,
-    myopic_greedy_step,
     optimal_fixed_price,
     reset_ref,
     two_price_policy,
@@ -54,12 +52,10 @@ __all__ = [
     "SimEnv",
     "SolverError",
     "clairvoyant_value",
-    "curve_value",
     "expected_demand",
     "foc_residual",
     "greedy_price",
     "make_policy",
-    "myopic_greedy_step",
     "optimal_fixed_price",
     "regret_sweep",
     "reset_ref",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, PolicyParams, expected_demand_vec
+from .model import PolicyParams
 
 # Initial prices within this distance of the [0, p_max] boundary still count
 # as feasible; they are snapped onto the boundary.
@@ -44,6 +44,8 @@ def harmonic_range(lo: int, hi: int) -> float:
     """Sum of 1/s for s in [lo, hi]; zero when the range is empty."""
     if hi < lo:
         return 0.0
+    if hi == lo:  # one term, as at T = 1 on every round of the myopic path
+        return 1.0 / lo
     return float(np.sum(1.0 / np.arange(lo, hi + 1, dtype=float)))
 
 
@@ -195,25 +197,6 @@ def solve_curve(
     prices[i0] = min(max(p0, 0.0), p_max)
     np.minimum.accumulate(prices, out=prices)
     return PriceCurve(t_start=t_start, markdown_start=start, prices=prices, refs=refs)
-
-
-def induced_references(prices: np.ndarray, t_start: int, r_start: float) -> np.ndarray:
-    """Running-average references along a given price path, r[0] = r_start."""
-    prices = np.asarray(prices, dtype=float)
-    n = len(prices)
-    t = np.arange(t_start, t_start + n, dtype=float)
-    sums = t_start * r_start + np.concatenate([[0.0], np.cumsum(prices[:-1])])
-    return sums / t
-
-
-def curve_value(inst: Instance, curve: PriceCurve, r_actual: float) -> float:
-    """Total expected revenue of posting the curve's prices starting from
-    reference ``r_actual`` (which may differ from the curve's own start)."""
-    if len(curve.prices) == 0:
-        return 0.0
-    refs = induced_references(curve.prices, curve.t_start, r_actual)
-    demand = expected_demand_vec(inst, curve.prices, refs)
-    return float(np.sum(curve.prices * demand))
 
 
 def foc_residual(curve: PriceCurve, theta: PolicyParams) -> float:

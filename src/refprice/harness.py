@@ -4,14 +4,15 @@ An episode is one loop: the policy hands over its next block of prices
 (``Policy.next_block``), the simulator posts the block, trimmed to the
 horizon, and the policy observes the block's demands.  Regret is measured on
 expected revenue: noise perturbs only what the policy observes, not how a
-posted price sequence is scored.  Episodes are deterministic given (instance,
-noise, policy spec, T, r1, seed); the seed for episode i of a run is
-base_seed + i, with the same seed list reused across the horizons of a sweep.
+posted price sequence is scored.  The clairvoyant baseline is scored the same
+way, as a noiseless ``markdown_oracle`` episode.  Episodes are deterministic
+given (instance, noise, policy spec, T, r1, seed); the seed for episode i of a
+run is base_seed + i, with the same seed list reused across the horizons of a
+sweep.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import shutil
@@ -23,9 +24,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import curve_value
 from .model import Instance, NoiseSpec, expected_demand, expected_demand_vec
-from .policies import Policy, make_policy, markdown_curve
+from .policies import Policy, make_policy
 
 # Blocks shorter than this go through the scalar ``post``: one numpy block
 # costs about as much as 7 scalar rounds.
@@ -209,18 +209,20 @@ def baseline_kind(inst: Instance) -> str:
     return "exact_optimum" if inst.symmetric else "near_optimal"
 
 
-@functools.lru_cache(maxsize=128)
-def _clairvoyant_cached(inst: Instance, r1: float, T: int) -> float:
-    return curve_value(inst, markdown_curve(inst, r1, T), r1)
+def _baseline_job(inst: Instance, r1: float, T: int) -> tuple:
+    """The clairvoyant baseline as an episode job: a noiseless
+    ``markdown_oracle`` episode."""
+    return (inst, NoiseSpec.none(), {"kind": "markdown_oracle"}, T, r1, 0)
 
 
 def clairvoyant_value(inst: Instance, r1: float, T: int) -> float:
-    """Total expected revenue of the clairvoyant curve policy.
+    """Total expected revenue of the clairvoyant curve policy, scored as an
+    episode, so the ``markdown_oracle`` policy's regret is exactly 0.
 
     Symmetric effects: the curve from r1, which is the exact optimum.
-    Asymmetric: the curve computed from p_max, evaluated from r1; see
+    Asymmetric: the curve computed from p_max, posted from r1; see
     ``baseline_kind``."""
-    return _clairvoyant_cached(inst, float(r1), int(T))
+    return _episode_value(_baseline_job(inst, r1, T))
 
 
 @dataclass
@@ -235,12 +237,8 @@ class RegretRecord:
 
 
 def _episode_value(job) -> float:
-    """Pool task: the expected total of one episode, or the clairvoyant
-    baseline's when the job's policy spec is None."""
-    inst, noise, policy_spec, T, r1, seed = job
-    if policy_spec is None:
-        return clairvoyant_value(inst, r1, T)
-    return run_episode(inst, noise, policy_spec, T, r1, seed).expected_total
+    """Pool task: the expected total of one episode."""
+    return run_episode(*job).expected_total
 
 
 def regret_sweep(
@@ -272,7 +270,7 @@ def regret_sweep(
     jobs = []
     for k in order:
         T = T_list[k]
-        jobs.append((inst, noise, None, T, r1, None))
+        jobs.append(_baseline_job(inst, r1, T))
         jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
     # A fork pool starts every worker at once: no more than there are jobs.
     workers = min(threads, len(jobs))

@@ -8,8 +8,9 @@ the current reference r, and ``observe(t, demands)`` feeds back the realized
 demands of the rounds actually posted (the harness cuts a block at the
 horizon).  The planned kinds are price paths fixed before the episode
 starts: ``make_policy`` builds each path and one ``PlannedPolicy`` posts it
-in one block.  The learner returns a reset plan, a single learning price, or
-its exploitation tail.
+in one block.  The best fixed price and the myopic greedy price are one
+closed form, ``optimal_fixed_price``, at horizon T and at T = 1.  The learner
+returns a reset plan, a single learning price, or its exploitation tail.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curve import PriceCurve, SolverError, harmonic_range, solve_curve
-from .model import Instance, PolicyParams, revenue, true_policy_params
+from .model import Instance, PolicyParams, true_policy_params
 
 # A reference counts as "on target" when within this absolute tolerance; the
 # reset plan lands targets exactly in exact arithmetic.
@@ -33,19 +34,15 @@ RESET_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def fixed_price_value(
-    inst: Instance, p: float | np.ndarray, r1: float, T: int
-) -> float | np.ndarray:
-    """Total expected revenue of posting price p for all T rounds from r1;
-    ``p`` may also be an array of prices, each valued on its own.
+def fixed_price_value(inst: Instance, p: float, r1: float, T: int) -> float:
+    """Total expected revenue of posting price p for all T rounds from r1.
 
     Under the averaging dynamics r_t - p = (r1 - p)/t, so the reference term
     telescopes into a harmonic factor:  T*p*(b-a*p) + eta*p*(r1-p)*H_T.
     """
-    inst.check_price(np.min(p))
-    inst.check_price(np.max(p))
+    inst.check_price(p)
     inst.check_price(r1, "reference")
-    eta = np.where(r1 >= p, inst.eta_plus, inst.eta_minus)
+    eta = inst.eta_plus if r1 >= p else inst.eta_minus
     h = harmonic_range(1, T)
     return T * p * (inst.b - inst.a * p) + eta * p * (r1 - p) * h
 
@@ -53,17 +50,29 @@ def fixed_price_value(
 def optimal_fixed_price(inst: Instance, r1: float, T: int) -> float:
     """Best fixed price over T rounds starting from reference r1.
 
-    Symmetric reference effects admit the closed form
-    (T*b + eta*r1*H_T) / (2*(T*a + eta*H_T)); otherwise fall back to a grid
-    search over the exact total-revenue formula.
+    The reference never crosses a fixed price, so ``fixed_price_value`` is a
+    concave quadratic on each side of p = r1, with eta+ below and eta- above.
+    Each side's maximizer is its vertex (T*b + eta*r1*H_T) / (2*(T*a + eta*H_T))
+    clipped to [0, min(r1, p_max)] and [r1, p_max] respectively; the better
+    of the two is the optimum.  A side whose vertex is clipped onto r1 never
+    beats the other, whose interval also holds r1, so it loses without a
+    value comparison: rounding cannot pick r1 over a vertex a few ulps away,
+    and on symmetric instances the result is the vertex itself, to the bit.
+    At T = 1 this is the single-round revenue maximizer at reference r1.
     """
-    if inst.symmetric:
-        eta = inst.eta_plus
-        h = harmonic_range(1, T)
-        p = (T * inst.b + eta * r1 * h) / (2.0 * (T * inst.a + eta * h))
-        return min(max(p, 0.0), inst.p_max)
-    grid = np.linspace(0.0, inst.p_max, 10001)
-    return float(grid[int(np.argmax(fixed_price_value(inst, grid, r1, T)))])
+    inst.check_price(r1, "reference")
+    h = harmonic_range(1, T)
+
+    def vertex(eta: float) -> float:
+        return (T * inst.b + eta * r1 * h) / (2.0 * (T * inst.a + eta * h))
+
+    gain = min(max(vertex(inst.eta_plus), 0.0), min(r1, inst.p_max))
+    loss = min(max(vertex(inst.eta_minus), r1), inst.p_max)
+    if loss == r1 or (
+        gain != r1 and fixed_price_value(inst, gain, r1, T) >= fixed_price_value(inst, loss, r1, T)
+    ):
+        return gain
+    return loss
 
 
 def two_price_policy(inst: Instance, alpha: float, T: Optional[int] = None):
@@ -103,22 +112,6 @@ def two_price_per_round_gain(inst: Instance, alpha: float) -> float:
     return gain - b * b / (4.0 * a)
 
 
-def myopic_greedy_step(inst: Instance, r: float) -> float:
-    """Price maximizing the single-round revenue over [0, p_max] at reference r.
-
-    The revenue is concave-quadratic on each side of p = r; compare the two
-    clipped vertices.
-    """
-    inst.check_price(r, "reference")
-    gain_vertex = (inst.b + inst.eta_plus * r) / (2.0 * (inst.a + inst.eta_plus))
-    cand_gain = min(max(gain_vertex, 0.0), min(r, inst.p_max))
-    loss_vertex = (inst.b + inst.eta_minus * r) / (2.0 * (inst.a + inst.eta_minus))
-    cand_loss = min(max(loss_vertex, r), inst.p_max)
-    if revenue(inst, cand_gain, r) >= revenue(inst, cand_loss, r):
-        return cand_gain
-    return cand_loss
-
-
 # ---------------------------------------------------------------------------
 # reference reset
 # ---------------------------------------------------------------------------
@@ -143,30 +136,17 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
     def in_range(x: float) -> bool:
         return -eps <= x <= p_max + eps
 
-    if r_t < r_target:
-        base = (t + 1) * r_target - t * r_t
-        slope = r_target - p_max
-        if slope >= 0.0:  # r_target == p_max: the average can never get there
-            raise ValueError("target reference p_max is unreachable from below")
-        n = max(0, math.ceil((base - p_max) / (p_max - r_target) - 1e-9))
-        while not in_range(base + n * slope):
-            n += 1
-        while n > 0 and in_range(base + (n - 1) * slope):
-            n -= 1
-        final = base + n * slope
-        plan = [p_max] * n + [min(max(final, 0.0), p_max)]
-    else:
-        base = (t + 1) * r_target - t * r_t
-        if r_target <= 0.0:  # zero target: average of positive history never hits 0
-            raise ValueError("target reference 0 is unreachable from above")
-        n = max(0, math.ceil(-base / r_target - 1e-9))
-        while not in_range(base + n * r_target):
-            n += 1
-        while n > 0 and in_range(base + (n - 1) * r_target):
-            n -= 1
-        final = base + n * r_target
-        plan = [0.0] * n + [min(max(final, 0.0), p_max)]
-    return plan
+    extreme = p_max if r_t < r_target else 0.0
+    if r_target == extreme:  # the average reaches an extreme only if every price is it
+        raise ValueError(f"target reference {r_target} is unreachable from {r_t}")
+    base = (t + 1) * r_target - t * r_t
+    slope = r_target - extreme
+    n = max(0, math.ceil((base - extreme) / (extreme - r_target) - 1e-9))
+    while not in_range(base + n * slope):
+        n += 1
+    while n > 0 and in_range(base + (n - 1) * slope):
+        n -= 1
+    return [extreme] * n + [min(max(base + n * slope, 0.0), p_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +256,8 @@ class PlannedPolicy(Policy):
 
 
 def myopic_greedy_path(inst: Instance, r1: float, T: int) -> np.ndarray:
-    """The single-round revenue maximizer at every round.
+    """The single-round revenue maximizer, ``optimal_fixed_price`` with
+    T = 1, at every round.
 
     Its prices never depend on demand, so the whole path is rolled up front
     with the simulator's exact running total: the reference after round t is
@@ -285,7 +266,7 @@ def myopic_greedy_path(inst: Instance, r1: float, T: int) -> np.ndarray:
     prices = []
     total, r = r1, r1
     for count in range(2, T + 2):
-        p = myopic_greedy_step(inst, r)
+        p = optimal_fixed_price(inst, r, 1)
         prices.append(p)
         total += p
         r = total / count
@@ -350,8 +331,6 @@ class LearnThenEarn(Policy):
         self.p_ratio_bound = p_ratio_bound
         self.T = T
         self.t1 = t1_budget if t1_budget is not None else default_t1_budget(p_max, T, c_t1)
-        if self.t1 < 4:
-            raise ValueError("exploration budget must be at least 4")
         self.learners = [
             LearnGreedyState(
                 r_target=target,

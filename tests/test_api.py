@@ -17,12 +17,10 @@ PUBLIC = [
     "SimEnv",
     "SolverError",
     "clairvoyant_value",
-    "curve_value",
     "expected_demand",
     "foc_residual",
     "greedy_price",
     "make_policy",
-    "myopic_greedy_step",
     "optimal_fixed_price",
     "regret_sweep",
     "reset_ref",

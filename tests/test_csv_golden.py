@@ -7,6 +7,10 @@ their shortest round-trip form, and the trailing ``# slope=`` line.  The
 three outputs that hold a solved curve (``curve``, ``episodes_learner_t2``
 and ``regret``) were re-captured when the curve solver became a numpy scan;
 their numbers moved by at most 2.3e-13 (a regret sum), prices by 8.7e-15.
+``regret`` was re-captured again when the clairvoyant baseline came to be
+scored as an episode, with the simulator's running total instead of
+r1 + cumsum(prices): the T = 300 baseline and its mean regret moved by
+5.7e-14 (1.7e-16 relative), and nothing else changed.
 
 ``episodes_two_price_noiseless`` and ``curve_long`` were captured from the
 row-by-row writer, before the writer went chunked.  They are the two cases
@@ -78,7 +82,7 @@ CASES = {
         "learning_sweep.yaml",
         ["run.T_list=[300,1000]", "run.seeds=3"],
         "regret.csv",
-        "e2a0a2db665397792af027ade9040e77e11df8ef6a4b599787235841e625052c",
+        "ba6dab3eaef2089474eb5926e25215a223cff3a6554ee3ce312da04bd9952fea",
     ),
 }
 

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refprice import (
+    NoiseSpec,
     PolicyParams,
-    PriceCurve,
     SolverError,
-    curve_value,
     foc_residual,
+    run_episode,
     solve_curve,
     true_policy_params,
 )
 from refprice import curve as curve_module
-from refprice.curve import harmonic_range, induced_references
+from refprice.policies import PlannedPolicy
 from refprice.validate import (
     FocSystem,
     check_curve_lipschitz,
@@ -293,31 +293,20 @@ def test_markdown_invariant_sample(rng):
         assert np.all(curve.prices >= -1e-12) and np.all(curve.prices <= inst.p_max + 1e-12)
 
 
-def test_curve_value_empty(inst_symmetric):
-    empty = PriceCurve(t_start=1, markdown_start=1, prices=np.array([]), refs=np.array([]))
-    assert curve_value(inst_symmetric, empty, 0.5) == 0.0
-
-
-def test_curve_value_fixed_price_closed_form(inst_symmetric):
-    inst = inst_symmetric
-    T, p, r1 = 400, 0.9, 0.5
-    prices = np.full(T, p)
-    curve = PriceCurve(
-        t_start=1, markdown_start=1, prices=prices, refs=induced_references(prices, 1, r1)
-    )
-    h = harmonic_range(1, T)
-    closed = T * p * (inst.b - inst.a * p) + inst.eta_plus * p * (r1 - p) * h
-    assert curve_value(inst, curve, r1) == pytest.approx(closed, rel=1e-12)
-
-
 def test_curve_value_monotone_in_start_reference(rng):
+    # The same solved curve, posted from a higher starting reference, earns
+    # at least as much.
+    def value(inst, prices, r1):
+        policy = PlannedPolicy("markdown_oracle", prices)
+        return run_episode(inst, NoiseSpec.none(), policy, len(prices), r1, 0).expected_total
+
     for _ in range(20):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         theta = true_policy_params(inst)
         curve = solve_curve(theta, rng.uniform(0, inst.p_max), 1, int(rng.integers(5, 100)), inst.p_max)
         r = rng.uniform(0, inst.p_max)
         r_hi = rng.uniform(r, inst.p_max)
-        assert curve_value(inst, curve, r_hi) >= curve_value(inst, curve, r) - 1e-12
+        assert value(inst, curve.prices, r_hi) >= value(inst, curve.prices, r) - 1e-12
 
 
 def test_segment_initial_price_matches_dense(rng):

@@ -7,10 +7,16 @@ learner and the myopic policy from any r1.  A planned path from r1 != 0 keeps
 its prices, but its references now come from the simulator's sequential
 running total instead of r1 + cumsum(prices); they must stay within
 ``REF_ULPS`` of ``induced_references`` (3 ulps measured up to T = 10^5), and
-the demands must follow from them and the seed's noise draws.  The
-``markdown_oracle`` and ``learn_then_earn`` digests, whose prices come from a
-solved curve, were re-captured when the curve solver became a numpy scan;
-their arrays moved by at most 1.2e-14.
+the demands must follow from them and the seed's noise draws.
+``induced_references`` lives here as that oracle; the package no longer sums
+references as r1 + cumsum(prices) anywhere.  The ``markdown_oracle`` and
+``learn_then_earn`` digests, whose prices come from a solved curve, were
+re-captured when the curve solver became a numpy scan; their arrays moved by
+at most 1.2e-14.  The two asymmetric ``optimal_fixed`` digests were
+re-captured when the best fixed price became a closed form instead of a
+10,001-point grid: the price moved from 0.8488 to 0.848786 at r1 = 0 and from
+0.8493 to 0.849321 at r1 = 0.75 (prices and references by at most 2.2e-5,
+demands by 3.3e-5), and each episode's value rose.
 """
 
 import hashlib
@@ -19,7 +25,6 @@ import numpy as np
 import pytest
 
 from refprice import Instance, NoiseSpec, run_episode
-from refprice.curve import induced_references
 from refprice.model import expected_demand_vec
 
 SYM = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4.0 / 3.0, p_ratio_bound=1.0)
@@ -91,11 +96,11 @@ GOLDEN = {
     ),
     ("asym", "fixed", 0.75): ("76bd0612031f3c4b4f05e666670fd80e5bf943c81db0ac010bc1bb364e133c8d", None, None),
     ("asym", "optimal_fixed", 0.0): (
-        "8b5938667ded6ea94704e57aab62054e3f47b21503ca2609bbac8019abae1fed",
-        "2820f8ca1cbc7b032161e6bde04270d3177fe2a24634d0b621419a409dda0abe",
-        "92c262cfc5bad05661a0c651b6e0c1d509ea6e3880d235b82c3cea1939b14c65",
+        "16394202d4046ce31a34b48100d6f8a4bb31d94dfda4e100c0ad9228c939faf2",
+        "3578d9580156eb8505165280196cd53ccf84285276bbc4686f4861772e713993",
+        "a42df63f879b520cafbdecdd31d2252fbfce6c53b64a25c6d93b801da1240404",
     ),
-    ("asym", "optimal_fixed", 0.75): ("a1849658c588f5ccc73a0468559dfce01204120b8cb1f0f87a1def94de9b70d3", None, None),
+    ("asym", "optimal_fixed", 0.75): ("43263fb3e5e2d13c48420a130f593a592b15b43b68e1a35cc71a784bc2d84b4d", None, None),
     ("asym", "markdown_oracle", 0.0): (
         "e74265b348781006058e9c48ba5b441e4f7d41f527dd19fcd5c1eac5a9ad146a",
         "e581d49faa7cdf00b033bbab8ac547a8dff15547ab09e0f6c5c741cfbc40ea9f",
@@ -123,6 +128,17 @@ GOLDEN = {
         "a7b7119f62fe4423f6122875587332813290349a5f206dabe4c8b7ce7209535c",
     ),
 }
+
+
+def induced_references(prices: np.ndarray, t_start: int, r_start: float) -> np.ndarray:
+    """Running-average references along a given price path, r[0] = r_start,
+    summed as r_start*t_start plus a cumsum: the oracle for the simulator's
+    sequential running total."""
+    prices = np.asarray(prices, dtype=float)
+    n = len(prices)
+    t = np.arange(t_start, t_start + n, dtype=float)
+    sums = t_start * r_start + np.concatenate([[0.0], np.cumsum(prices[:-1])])
+    return sums / t
 
 
 def _digest(a: np.ndarray) -> str:

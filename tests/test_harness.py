@@ -198,6 +198,17 @@ def test_markdown_oracle_is_the_baseline(inst_symmetric):
     assert abs(v_star - rec.expected_total) <= 1e-6 * v_star
 
 
+@pytest.mark.parametrize("T", [300, 10_000])
+@pytest.mark.parametrize("r1", [0.0, 1.0, 4.0 / 3.0])
+def test_markdown_oracle_regret_is_exactly_zero(inst_symmetric, r1, T):
+    # The baseline is scored as an episode, so its own policy's regret is 0
+    # to the bit; noise moves only the realized demands.
+    v_star = clairvoyant_value(inst_symmetric, r1, T)
+    spec = {"kind": "markdown_oracle"}
+    rec = run_episode(inst_symmetric, NoiseSpec.gaussian(0.1), spec, T, r1, 5)
+    assert v_star == rec.expected_total
+
+
 def test_clairvoyant_no_reference_effect():
     inst = Instance(a=1.0, b=1.5, eta_plus=0.0, eta_minus=0.0, p_max=1.0, p_ratio_bound=0.751)
     T = 200

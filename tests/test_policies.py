@@ -10,7 +10,6 @@ from refprice import (
     expected_demand,
     greedy_price,
     make_policy,
-    myopic_greedy_step,
     optimal_fixed_price,
     reset_ref,
     revenue,
@@ -63,26 +62,64 @@ def test_optimal_fixed_price_asymmetric_fallback():
     inst = Instance(a=1.0, b=1.6, eta_plus=0.2, eta_minus=0.5, p_max=1.0, p_ratio_bound=0.8)
     p = optimal_fixed_price(inst, 0.9, 200)
     grid = np.linspace(0.0, inst.p_max, 10001)
-    best = grid[np.argmax([fixed_price_value(inst, g, 0.9, 200) for g in grid])]
-    assert p == pytest.approx(best, abs=1e-9)
+    values = [fixed_price_value(inst, g, 0.9, 200) for g in grid]
+    assert fixed_price_value(inst, p, 0.9, 200) >= max(values)
+    assert p == pytest.approx(grid[np.argmax(values)], abs=inst.p_max / 10000)
 
 
-def test_fixed_price_values_match_per_point_loop():
-    # The asymmetric grid search values the whole grid in one array call; it
-    # must give the per-point formula's doubles, and so the same argmax.
-    rng = np.random.default_rng(30)
-    for _ in range(30):
-        inst = random_instance(rng, symmetric=False)
-        T = int(rng.integers(1, 3000))
-        r1 = rng.uniform(0.0, inst.p_max)
-        grid = np.linspace(0.0, inst.p_max, 10001)
-        h = harmonic_range(1, T)
-        loop = []
-        for p in grid.tolist():
-            eta = inst.eta_plus if r1 >= p else inst.eta_minus
-            loop.append(T * p * (inst.b - inst.a * p) + eta * p * (r1 - p) * h)
-        assert np.array_equal(fixed_price_value(inst, grid, r1, T), loop)
-        assert optimal_fixed_price(inst, r1, T) == grid[int(np.argmax(loop))]
+def grid_fixed_price_values(inst, r1, T):
+    """Values of the fixed prices on a 10,001-point grid over [0, p_max],
+    with ``fixed_price_value``'s arithmetic."""
+    grid = np.linspace(0.0, inst.p_max, 10001)
+    eta = np.where(r1 >= grid, inst.eta_plus, inst.eta_minus)
+    return T * grid * (inst.b - inst.a * grid) + eta * grid * (r1 - grid) * harmonic_range(1, T)
+
+
+def symmetric_fixed_price(inst, r1, T):
+    """The closed form that served symmetric instances alone."""
+    eta = inst.eta_plus
+    h = harmonic_range(1, T)
+    p = (T * inst.b + eta * r1 * h) / (2.0 * (T * inst.a + eta * h))
+    return min(max(p, 0.0), inst.p_max)
+
+
+def single_round_price(inst, r):
+    """The single-round rule that the myopic policy used: the better of the
+    two clipped vertices by ``revenue``."""
+    gain_vertex = (inst.b + inst.eta_plus * r) / (2.0 * (inst.a + inst.eta_plus))
+    cand_gain = min(max(gain_vertex, 0.0), min(r, inst.p_max))
+    loss_vertex = (inst.b + inst.eta_minus * r) / (2.0 * (inst.a + inst.eta_minus))
+    cand_loss = min(max(loss_vertex, r), inst.p_max)
+    if revenue(inst, cand_gain, r) >= revenue(inst, cand_loss, r):
+        return cand_gain
+    return cand_loss
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    T=st.one_of(st.just(1), st.integers(1, 3000)),
+    u=st.floats(0.0, 1.0),
+    ulps=st.one_of(st.none(), st.integers(-3, 3)),
+)
+def test_optimal_fixed_price_is_the_two_vertex_optimum(seed, symmetric, T, u, ulps):
+    inst = random_instance(np.random.default_rng(seed), symmetric=symmetric)
+    if ulps is None:
+        r1 = u * inst.p_max
+    else:
+        # r1 at the point where the eta+ vertex equals r1, moved by ulps.
+        r1 = T * inst.b / (2.0 * T * inst.a + inst.eta_plus * harmonic_range(1, T))
+        for _ in range(abs(ulps)):
+            r1 = float(np.nextafter(r1, np.inf if ulps > 0 else -np.inf))
+    p = optimal_fixed_price(inst, r1, T)
+    best = np.max(grid_fixed_price_values(inst, r1, T))
+    # Slack for the last bits of the value's rounding, not for the price.
+    assert fixed_price_value(inst, p, r1, T) >= best - 1e-12 * abs(best)
+    if symmetric:
+        assert p.hex() == symmetric_fixed_price(inst, r1, T).hex()
+    if T == 1 and ulps is None:
+        assert p == single_round_price(inst, r1)
 
 
 def test_two_price_reference_values(inst_symmetric):
@@ -119,12 +156,12 @@ def test_two_price_rejects_bad_alpha(inst_symmetric):
 def test_myopic_greedy_in_validity_range(inst_symmetric):
     inst = inst_symmetric
     for r in (1.05, 1.2, inst.p_max):
-        assert myopic_greedy_step(inst, r) == pytest.approx(greedy_price(inst, r), abs=1e-12)
+        assert optimal_fixed_price(inst, r, 1) == pytest.approx(greedy_price(inst, r), abs=1e-12)
 
 
 def test_myopic_greedy_zero_reference(inst_symmetric):
     inst = inst_symmetric
-    p = myopic_greedy_step(inst, 0.0)
+    p = optimal_fixed_price(inst, 0.0, 1)
     grid = np.linspace(0.0, inst.p_max, 200001)
     values = grid * (inst.b - inst.a * grid - inst.eta_minus * grid)
     assert p == pytest.approx(grid[np.argmax(values)], abs=1e-4)
@@ -134,7 +171,7 @@ def test_myopic_greedy_grid_oracle(rng):
     for _ in range(100):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(0.0, inst.p_max)
-        p = myopic_greedy_step(inst, r)
+        p = optimal_fixed_price(inst, r, 1)
         grid = np.linspace(0.0, inst.p_max, 20001)
         values = [revenue(inst, g, r) for g in grid]
         best = grid[int(np.argmax(values))]
