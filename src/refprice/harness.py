@@ -1,10 +1,12 @@
 """Episode simulation, clairvoyant baselines, regret sweeps, and CSV output.
 
-An episode is one loop: the policy hands over its next block of prices
-(``Policy.next_block``), the simulator posts the block, trimmed to the
-horizon, and the policy observes the block's demands.  Regret is measured on
-expected revenue: noise perturbs only what the policy observes, not how a
-posted price sequence is scored.  The clairvoyant baseline is scored the same
+An episode is one call: the policy posts every round of the horizon into the
+simulator itself (``Policy.play(env)``), planned paths as one
+``SimEnv.post_block`` and the learner through its exploration kernel, which
+posts short runs of rounds inline with the same arithmetic; a policy that
+leaves rounds unposted is an error.  Regret is measured on expected revenue:
+noise perturbs only what the policy observes, not how a posted price
+sequence is scored.  The clairvoyant baseline is scored the same
 way, as a noiseless ``markdown_oracle`` episode.  Episodes are deterministic
 given (instance, noise, policy spec, T, r1, seed); the seed for episode i of a
 run is base_seed + i, with the same seed list reused across the horizons of a
@@ -24,12 +26,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Instance, NoiseSpec, expected_demand, expected_demand_vec
+from .model import Instance, NoiseSpec, expected_demand_vec
 from .policies import Policy, make_policy
 
-# Blocks shorter than this go through the scalar ``post``: one numpy block
-# costs about as much as 7 scalar rounds.
-BLOCK_CUTOVER = 8
 # Longest run of rounds ``post_block`` handles with one set of numpy
 # temporaries.
 BLOCK_CHUNK = 4096
@@ -40,12 +39,12 @@ CSV_ROWS = 16384
 class SimEnv:
     """One pricing episode: posts prices, draws shocks, tracks the reference.
 
-    The reference follows the running-average dynamics, kept as an exact
-    (sum, count) pair.  ``post`` posts one round and returns its realized
-    demand; ``post_block`` posts a run of rounds with the same arithmetic and
-    the same random draws.  Every round's price, reference and demand are
-    kept in ``prices``, ``refs`` and ``demands``.  Prices outside [0, p_max]
-    are a hard failure.
+    The reference ``r`` = ``total / count`` follows the running-average
+    dynamics, kept as an exact (``total``, ``count``) pair; ``t`` is the
+    next round.  ``post_block`` posts a run of rounds; a policy may post
+    rounds itself with the same arithmetic and draws.  Every round's price,
+    reference and demand are kept in ``prices``, ``refs`` and ``demands``.
+    Prices outside [0, p_max] are a hard failure.
     """
 
     def __init__(
@@ -63,43 +62,22 @@ class SimEnv:
         self.T = T
         self.rng = rng
         self.t = 1
-        self._count = 1
-        self._total = r1
-        self._r = r1
+        self.count = 1
+        self.total = r1
+        self.r = r1
         self.prices = np.empty(T)
         self.refs = np.empty(T)
         self.demands = np.empty(T)
 
-    @property
-    def r(self) -> float:
-        return self._r
-
-    def post(self, price: float) -> float:
-        if self.t > self.T:
-            raise RuntimeError("episode horizon exhausted")
-        expected = expected_demand(self.inst, price, self._r)
-        demand = expected + self.noise.draw(self.rng)
-        i = self.t - 1
-        self.prices[i] = price
-        self.refs[i] = self._r
-        self.demands[i] = demand
-        self._total += price
-        self._count += 1
-        self._r = self._total / self._count
-        self.t += 1
-        return demand
-
-    def post_block(self, prices: Sequence[float]) -> Sequence[float]:
+    def post_block(self, prices: Sequence[float]) -> np.ndarray:
         """Post ``prices`` in order and return their realized demands.
 
-        Bit for bit the same as calling ``post`` on each price: the running
-        total is a sequential cumsum seeded with the total, and the shocks
+        Bit for bit the same as posting one round at a time: the running
+        total is a sequential cumsum seeded with ``total``, and the shocks
         come from one ``draw_array`` per chunk, which yields the scalar
-        draws' numbers.
+        ``NoiseSpec.draw`` numbers.
         """
         n = len(prices)
-        if n < BLOCK_CUTOVER:
-            return [self.post(p) for p in prices]
         if self.t + n - 1 > self.T:
             raise RuntimeError("episode horizon exhausted")
         prices = np.asarray(prices, dtype=float)
@@ -109,18 +87,18 @@ class SimEnv:
             p = prices[lo : lo + BLOCK_CHUNK]
             m = len(p)
             totals = acc[: m + 1]
-            totals[0] = self._total
+            totals[0] = self.total
             totals[1:] = p
             np.cumsum(totals, out=totals)
-            refs = totals[:-1] / np.arange(self._count, self._count + m, dtype=float)
+            refs = totals[:-1] / np.arange(self.count, self.count + m, dtype=float)
             demand = expected_demand_vec(self.inst, p, refs) + self.noise.draw_array(self.rng, m)
             out[lo : lo + m] = demand
             i = self.t - 1
             self.prices[i : i + m] = p
             self.refs[i : i + m] = refs
-            self._total = float(totals[-1])
-            self._count += m
-            self._r = self._total / self._count
+            self.total = float(totals[-1])
+            self.count += m
+            self.r = self.total / self.count
             self.t += m
         return out
 
@@ -194,12 +172,9 @@ def run_episode(
     if isinstance(policy, dict):
         policy = make_policy(policy, inst, T, r1, rng)
     env = SimEnv(inst, noise, T, r1, rng)
-    while env.t <= T:
-        t = env.t
-        block = policy.next_block(t, env.r)[: T - t + 1]
-        if len(block) == 0:
-            raise ValueError(f"policy {policy.kind!r} returned no price for round {t}")
-        policy.observe(t, env.post_block(block))
+    policy.play(env)
+    if env.t <= T:
+        raise ValueError(f"policy {policy.kind!r} posted no price for round {env.t}")
     return _finish_record(inst, policy, seed, T, r1, env.prices, env.refs, env.demands)
 
 

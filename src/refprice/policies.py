@@ -2,31 +2,36 @@
 explore-then-exploit learner with its reference-reset and greedy-price-learning
 subroutines.
 
-A policy is a single-episode object driven block by block:
-``next_block(t, r)`` returns the run of prices to post from round t on, given
-the current reference r, and ``observe(t, demands)`` feeds back the realized
-demands of the rounds actually posted (the harness cuts a block at the
-horizon).  The planned kinds are price paths fixed before the episode
-starts: ``make_policy`` builds each path and one ``PlannedPolicy`` posts it
-in one block.  The best fixed price and the myopic greedy price are one
-closed form, ``optimal_fixed_price``, at horizon T and at T = 1.  The learner
-returns a reset plan, a single learning price, or its exploitation tail.
+A policy is a single-episode object that posts into the simulator itself:
+``play(env)`` posts every round of a ``SimEnv`` up to its horizon.  The
+planned kinds are price paths fixed before the episode starts:
+``make_policy`` builds each path and one ``PlannedPolicy`` posts it with one
+``post_block``.  The best fixed price and the myopic greedy price are one
+closed form, ``optimal_fixed_price``, at horizon T and at T = 1.  The
+learner runs its two ``LearnGreedyState`` exploration kernels, which post
+reset plans and learning rounds with local state, then posts its
+exploitation tail as one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .curve import PriceCurve, SolverError, harmonic_range, solve_curve
-from .model import Instance, PolicyParams, true_policy_params
+from .model import BOUNDARY_TOL, DomainError, Instance, PolicyParams, true_policy_params
 
 # A reference counts as "on target" when within this absolute tolerance; the
 # reset plan lands targets exactly in exact arithmetic.
 RESET_TOL = 1e-9
+# Reset plans at least this long go to ``SimEnv.post_block``; shorter ones,
+# and every learning round, are posted inline by ``LearnGreedyState.run``.
+# Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): an inline round costs
+# 1.0-1.4 us, and a ``post_block`` call 25-40 us up to a few hundred rounds.
+BLOCK_CUTOVER = 32
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +122,28 @@ def two_price_per_round_gain(inst: Instance, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _reset_plan(t: int, r_t: float, r_target: float, p_max: float):
+    """``reset_ref``'s plan as (extreme, n, correction): n rounds at the
+    extreme price, then one at the correction; None when on target."""
+    if not (0.0 <= r_t <= p_max and 0.0 <= r_target <= p_max):
+        raise ValueError("references must lie in [0, p_max]")
+    if abs(r_t - r_target) <= RESET_TOL:
+        return None
+    eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
+    lo, hi = -eps, p_max + eps
+    extreme = p_max if r_t < r_target else 0.0
+    if r_target == extreme:  # the average reaches an extreme only if every price is it
+        raise ValueError(f"target reference {r_target} is unreachable from {r_t}")
+    base = (t + 1) * r_target - t * r_t
+    slope = r_target - extreme
+    n = max(0, math.ceil((base - extreme) / (extreme - r_target) - 1e-9))
+    while not lo <= base + n * slope <= hi:
+        n += 1
+    while n > 0 and lo <= base + (n - 1) * slope <= hi:
+        n -= 1
+    return extreme, n, min(max(base + n * slope, 0.0), p_max)
+
+
 def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
     """Shortest price plan moving the running-average reference to r_target.
 
@@ -127,26 +154,8 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
 
     Returns the plan; it is empty when the reference is already on target.
     """
-    if not (0.0 <= r_t <= p_max and 0.0 <= r_target <= p_max):
-        raise ValueError("references must lie in [0, p_max]")
-    if abs(r_t - r_target) <= RESET_TOL:
-        return []
-    eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
-
-    def in_range(x: float) -> bool:
-        return -eps <= x <= p_max + eps
-
-    extreme = p_max if r_t < r_target else 0.0
-    if r_target == extreme:  # the average reaches an extreme only if every price is it
-        raise ValueError(f"target reference {r_target} is unreachable from {r_t}")
-    base = (t + 1) * r_target - t * r_t
-    slope = r_target - extreme
-    n = max(0, math.ceil((base - extreme) / (extreme - r_target) - 1e-9))
-    while not in_range(base + n * slope):
-        n += 1
-    while n > 0 and in_range(base + (n - 1) * slope):
-        n -= 1
-    return [extreme] * n + [min(max(base + n * slope, 0.0), p_max)]
+    plan = _reset_plan(t, r_t, r_target, p_max)
+    return [] if plan is None else [plan[0]] * plan[1] + [plan[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +167,13 @@ def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
 class LearnGreedyState:
     """Reset-then-perturb learner for the greedy price at a fixed reference.
 
-    Driven block by block like a policy: ``next_block(t, r)`` returns the
-    ``reset_ref`` plan towards r_target while the reference is off target,
-    and otherwise one price perturbed by +-d with a fair sign drawn from
-    ``rng``; ``observe(t, demands)`` takes the projected one-point-gradient
-    step after a learning round and counts the rounds posted after a reset.
-    Iterates live in [d, r_target - d]; the returned estimate is the average
-    of the iterates before each update.
+    ``run(env)`` is its exploration kernel.  While the reference is off
+    target it posts the ``reset_ref`` plan towards r_target; on target, one
+    learning round at a price perturbed by +-d with a fair sign drawn from
+    ``rng``, then the projected one-point-gradient step on that round's
+    demand.  Iterates live in [d, r_target - d]; the returned estimate is
+    the average of the iterates before each update.  ``reset_rounds``
+    counts the reset rounds posted: the horizon may cut a plan short.
     """
 
     r_target: float
@@ -176,8 +185,6 @@ class LearnGreedyState:
     p_hat: float = field(init=False)
     sum_iterates: float = 0.0
     reset_rounds: int = 0
-    # (kappa, price) of the learning round awaiting its demand.
-    pending: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.budget < 4:
@@ -187,33 +194,64 @@ class LearnGreedyState:
         self.p_hat = 0.5 * (self.d + (self.r_target - self.d))
 
     @property
-    def done(self) -> bool:
-        return self.s > self.budget
-
-    @property
     def learn_rounds(self) -> int:
         return self.s - 1
 
-    def next_block(self, t: int, r: float) -> list[float]:
-        if abs(r - self.r_target) > RESET_TOL:
-            return reset_ref(t, r, self.r_target, self.p_max)
-        kappa = 1.0 if self.rng.random() < 0.5 else -1.0
-        price = self.p_hat + kappa * self.d
-        self.pending = (kappa, price)
-        return [price]
-
-    def observe(self, t: int, demands: Sequence[float]) -> None:
-        if self.pending is None:
-            # A reset plan, counted as posted: the horizon may cut it short.
-            self.reset_rounds += len(demands)
-            return
-        kappa, price = self.pending
-        self.pending = None
-        self.sum_iterates += self.p_hat
-        g = price * float(demands[0]) * kappa / self.d
-        p = self.p_hat + g / (2.0 * self.p_max * self.s)
-        self.p_hat = min(max(p, self.d), self.r_target - self.d)
-        self.s += 1
+    def run(self, env) -> None:
+        """Post reset plans, cut at the horizon, and learning rounds into
+        ``env``, a ``SimEnv``, until the budget is spent or the horizon is
+        reached.  Learning rounds and plans under ``BLOCK_CUTOVER`` rounds
+        are posted here with ``post_block``'s arithmetic, domain checks and
+        draws, the sign before the round's shock; longer plans go to it.
+        """
+        inst, noise, T = env.inst, env.noise, env.T
+        a, b, eta_plus, eta_minus = inst.a, inst.b, inst.eta_plus, inst.eta_minus
+        lo, hi = -BOUNDARY_TOL, inst.p_max + BOUNDARY_TOL
+        unif, gauss = noise.kind == "bounded_uniform", noise.kind == "gaussian"
+        low, width, std = -noise.half_width, 2.0 * noise.half_width, noise.std
+        random, normal, coin = env.rng.random, env.rng.standard_normal, self.rng.random
+        prices, refs, demands = env.prices, env.refs, env.demands
+        r_target, d, budget, p_max = self.r_target, self.d, self.budget, self.p_max
+        step_scale, p_top = 2.0 * p_max, r_target - d
+        t, total, count, r = env.t, env.total, env.count, env.r
+        s, p_hat, sum_iterates = self.s, self.p_hat, self.sum_iterates
+        while s <= budget and t <= T:
+            learn = abs(r - r_target) <= RESET_TOL
+            if learn:
+                kappa = 1.0 if coin() < 0.5 else -1.0
+                plan = (p_hat + kappa * d,)
+            else:
+                extreme, n, correction = _reset_plan(t, r, r_target, p_max)
+                m = min(n + 1, T - t + 1)
+                self.reset_rounds += m
+                if m >= BLOCK_CUTOVER:
+                    plan = np.full(m, extreme)
+                    plan[n:] = correction  # nothing when the horizon cut the plan
+                    env.t, env.total, env.count, env.r = t, total, count, r
+                    env.post_block(plan)
+                    t, total, count, r = env.t, env.total, env.count, env.r
+                    continue
+                plan = [extreme] * n + [correction] if m > n else [extreme] * m
+            for price in plan:
+                if not lo <= price <= hi:
+                    raise DomainError(f"price {price} outside [0, {inst.p_max}]")
+                if not lo <= r <= hi:
+                    raise DomainError(f"reference {r} outside [0, {inst.p_max}]")
+                gap = r - price
+                shock = low + width * random() if unif else std * normal() if gauss else 0.0
+                demand = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap + shock
+                prices[t - 1], refs[t - 1], demands[t - 1] = price, r, demand
+                total += price
+                count += 1
+                r = total / count
+                t += 1
+            if learn:
+                sum_iterates += p_hat
+                g = price * demand * kappa / d
+                p_hat = min(max(p_hat + g / (step_scale * s), d), p_top)
+                s += 1
+        env.t, env.total, env.count, env.r = t, total, count, r
+        self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 
     def estimate(self) -> float:
         if self.s == 1:
@@ -227,18 +265,14 @@ class LearnGreedyState:
 
 
 class Policy:
-    """Block-driven pricing policy for a single episode."""
+    """Pricing policy for a single episode."""
 
     kind = "abstract"
 
-    def next_block(self, t: int, r: float) -> Sequence[float]:
-        """Prices to post from round t on, given the reference r at round t;
-        never empty."""
+    def play(self, env) -> None:
+        """Post every round of ``env``, a ``SimEnv``, from its current round
+        to the horizon."""
         raise NotImplementedError
-
-    def observe(self, t: int, demands: Sequence[float]) -> None:
-        """Realized demands of the block that started at round t, one per
-        round posted."""
 
     def meta(self) -> dict:
         return {}
@@ -251,8 +285,8 @@ class PlannedPolicy(Policy):
         self.kind = kind
         self.prices = prices
 
-    def next_block(self, t: int, r: float) -> np.ndarray:
-        return self.prices[t - 1 :]
+    def play(self, env) -> None:
+        env.post_block(self.prices[env.t - 1 : env.T])
 
 
 def myopic_greedy_path(inst: Instance, r1: float, T: int) -> np.ndarray:
@@ -301,11 +335,10 @@ def default_exploration_refs(p_max: float, p_ratio_bound: float) -> tuple[float,
 class LearnThenEarn(Policy):
     """Explore-then-exploit learner.
 
-    Learns greedy-price estimates at two reference targets with one
-    ``LearnGreedyState`` each, passing the current learner's blocks through
-    as they are; then solves the two-by-two linear system for the policy
-    parameter and posts the markdown curve computed from p_max at the entry
-    round for the rest of the horizon.  Only p_max and
+    Learns greedy-price estimates at two reference targets by running one
+    ``LearnGreedyState`` each into the episode in turn; then solves the
+    two-by-two linear system for the policy parameter and posts the markdown
+    curve computed from p_max at the entry round for the rest of the horizon.  Only p_max and
     p_ratio_bound are used; the demand parameters stay hidden.
     """
 
@@ -341,26 +374,18 @@ class LearnThenEarn(Policy):
             )
             for target in (self.ra, self.rb)
         ]
-        self.phase = 0
         self.t2: Optional[int] = None
         self.theta_hat: Optional[PolicyParams] = None
-        self.exploit_prices: Optional[np.ndarray] = None
         self.degenerate = False
 
-    def next_block(self, t: int, r: float) -> Sequence[float]:
-        while self.phase < 2 and self.learners[self.phase].done:
-            self.phase += 1
-        if self.phase < 2:
-            return self.learners[self.phase].next_block(t, r)
-        if self.exploit_prices is None:
-            self._start_exploit(t)
-        return self.exploit_prices[t - self.t2 :]
+    def play(self, env) -> None:
+        for learner in self.learners:
+            learner.run(env)
+        if env.t <= env.T:
+            env.post_block(self._exploit_prices(env.t))
 
-    def observe(self, t: int, demands: Sequence[float]) -> None:
-        if self.phase < 2:
-            self.learners[self.phase].observe(t, demands)
-
-    def _start_exploit(self, t: int) -> None:
+    def _exploit_prices(self, t: int) -> np.ndarray:
+        """Estimate the policy parameter, then solve the tail from round t."""
         p_a = self.learners[0].estimate()
         p_b = self.learners[1].estimate()
         gap = self.rb - self.ra
@@ -383,13 +408,12 @@ class LearnThenEarn(Policy):
         self.theta_hat = PolicyParams(c1, c2)
         self.t2 = t
         try:
-            curve = solve_curve(self.theta_hat, self.p_max, t, self.T, self.p_max)
-            self.exploit_prices = curve.prices
+            return solve_curve(self.theta_hat, self.p_max, t, self.T, self.p_max).prices
         except SolverError:
             # Clamped estimates can put the curve outside the solvable regime;
             # hold the ceiling price instead of crashing the episode.
             self.degenerate = True
-            self.exploit_prices = np.full(self.T - t + 1, self.p_max)
+            return np.full(self.T - t + 1, self.p_max)
 
     def meta(self) -> dict:
         reset_rounds = [learner.reset_rounds for learner in self.learners]

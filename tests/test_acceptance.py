@@ -138,6 +138,7 @@ def test_c07_gradient_unbiasedness():
     report(7, res.passed, res.detail)
 
 
+@pytest.mark.slow
 def test_c08_greedy_learner_rate():
     start = time.perf_counter()
     inst = INST_GAP
@@ -156,9 +157,7 @@ def test_c08_greedy_learner_rate():
             # Room to spare: every seed reaches its full learning budget.
             env = SimEnv(inst, noise, 10 * budget + 50, r_t, seed_rng)
             learner = LearnGreedyState(r_target=r_t, d=d, budget=budget, p_max=inst.p_max, rng=seed_rng)
-            while not learner.done and env.t <= env.T:
-                block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
-                learner.observe(env.t, env.post_block(block))
+            learner.run(env)
             per_seed.append(abs(learner.estimate() - true_p))
             rounds.append(learner.learn_rounds)
         errs.append(float(np.mean(per_seed)))
@@ -174,6 +173,7 @@ def test_c08_greedy_learner_rate():
     )
 
 
+@pytest.mark.slow
 def test_c09_regret_rates():
     start = time.perf_counter()
     noise = NoiseSpec.bounded_uniform(0.05)

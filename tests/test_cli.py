@@ -1,4 +1,7 @@
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,3 +254,31 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     path = os.path.join(CONFIGS, "default.yaml")
     assert main(["solve", "--config", path, "--out", str(out), "run.T=50"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reset_plan_towards_a_target_near_p_max_is_cut_at_the_horizon(tmp_path):
+    """With rb 1.3e-9 below p_max, the reset plan towards rb has more than 10^10
+    rounds.  Only the rounds left before the horizon may be built: the run
+    gets 2 GB of address space and must write all 10,000 rows."""
+    out = tmp_path / "o9"
+    argv = ["simulate", "--config", os.path.join(CONFIGS, "learning_sweep.yaml"), "--out", str(out)]
+    argv += ["run.T=10000", "run.seeds=1", "policy.rb=1.3333333320", "--threads", "1"]
+    limit = 2_000_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "refprice.cli", *argv],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "episodes.csv").read_text().splitlines()
+    rows = [l for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 10000
+    assert "# policy_t2=None" in lines

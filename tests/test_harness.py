@@ -23,7 +23,6 @@ from refprice.curve import harmonic_range
 from refprice.config import load_config
 from refprice.harness import (
     BLOCK_CHUNK,
-    BLOCK_CUTOVER,
     CSV_ROWS,
     RegretRecord,
     SimEnv,
@@ -34,6 +33,8 @@ from refprice.harness import (
 from refprice.model import DomainError
 from refprice.policies import Policy
 from refprice.validate import random_instance
+
+from oracles import post
 
 
 def test_fixed_price_episode_matches_closed_form(inst_symmetric):
@@ -89,11 +90,22 @@ def test_out_of_range_price_is_hard_failure(inst_symmetric):
     class Rogue(Policy):
         kind = "rogue"
 
-        def next_block(self, t, r):
-            return [inst_symmetric.p_max + 0.5] * (10 - t + 1)
+        def play(self, env):
+            env.post_block([inst_symmetric.p_max + 0.5] * (env.T - env.t + 1))
 
     with pytest.raises(DomainError):
         run_episode(inst_symmetric, NoiseSpec.none(), Rogue(), 10, 0.5, 0)
+
+
+def test_unfilled_horizon_is_an_error(inst_symmetric):
+    class Short(Policy):
+        kind = "short"
+
+        def play(self, env):
+            env.post_block([0.5] * (env.T - 1))
+
+    with pytest.raises(ValueError, match="round 10"):
+        run_episode(inst_symmetric, NoiseSpec.none(), Short(), 10, 0.5, 0)
 
 
 NOISES = (NoiseSpec.none(), NoiseSpec.bounded_uniform(0.1), NoiseSpec.gaussian(0.2))
@@ -107,8 +119,8 @@ INST = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4.0 / 3.0, p_ra
     noise=st.sampled_from(NOISES),
     blocks=st.lists(
         st.one_of(
-            st.integers(1, 2 * BLOCK_CUTOVER),
-            st.integers(BLOCK_CHUNK - 2, BLOCK_CHUNK + 2 * BLOCK_CUTOVER),
+            st.integers(1, 16),
+            st.integers(BLOCK_CHUNK - 2, BLOCK_CHUNK + 16),
         ),
         min_size=1,
         max_size=4,
@@ -125,7 +137,7 @@ def test_post_block_matches_scalar_post(seed, noise, blocks, r_share):
     lo = 0
     for n in blocks:
         demands = block.post_block(prices[lo : lo + n])
-        assert np.array_equal(demands, [scalar.post(p) for p in prices[lo : lo + n]])
+        assert np.array_equal(demands, [post(scalar, p) for p in prices[lo : lo + n]])
         assert block.r == scalar.r and block.t == scalar.t
         lo += n
     assert block.rng.bit_generator.state == scalar.rng.bit_generator.state
@@ -134,14 +146,14 @@ def test_post_block_matches_scalar_post(seed, noise, blocks, r_share):
     assert np.array_equal(block.demands, scalar.demands)
 
 
-@pytest.mark.parametrize("n", [BLOCK_CUTOVER - 1, BLOCK_CUTOVER, BLOCK_CHUNK + 1])
+@pytest.mark.parametrize("n", [7, 8, BLOCK_CHUNK + 1])
 def test_post_block_out_of_range_price(inst_symmetric, n):
     prices = np.full(n, 0.5)
     prices[-1] = inst_symmetric.p_max + 0.5
-    for post in (lambda env: env.post_block(prices), lambda env: [env.post(p) for p in prices]):
+    for posting in (lambda env: env.post_block(prices), lambda env: [post(env, p) for p in prices]):
         env = SimEnv(inst_symmetric, NoiseSpec.none(), n, 0.5, np.random.default_rng(0))
         with pytest.raises(DomainError):
-            post(env)
+            posting(env)
 
 
 def test_reference_exact_over_long_horizon(inst_symmetric):

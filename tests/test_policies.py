@@ -19,7 +19,8 @@ from refprice import (
     two_price_policy,
 )
 from refprice.curve import harmonic_range
-from refprice.harness import SimEnv
+from refprice.harness import BLOCK_CHUNK, SimEnv
+from refprice.model import DomainError
 from refprice.policies import (
     RESET_TOL,
     LearnGreedyState,
@@ -28,6 +29,8 @@ from refprice.policies import (
     two_price_per_round_gain,
 )
 from refprice.validate import brute_force_reset, random_instance
+
+from oracles import BlockLearner, run_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +270,14 @@ def test_greedy_learner_mean_step_is_the_derivative(symmetric, s):
     p_hat = 0.45 * r
     steps = []
     for kappa in (1.0, -1.0):
-        learner = LearnGreedyState(
-            r_target=r, d=d, budget=1000, p_max=inst.p_max, rng=FixedSign(kappa)
-        )
+        # Budget s: the kernel posts exactly one learning round, on target.
+        learner = LearnGreedyState(r_target=r, d=d, budget=s, p_max=inst.p_max, rng=FixedSign(kappa))
         learner.p_hat, learner.s = p_hat, s
-        block = learner.next_block(s, r)
-        assert block == [p_hat + kappa * d]
-        learner.observe(s, [expected_demand(inst, block[0], r)])
+        env = SimEnv(inst, NoiseSpec.none(), 5, r, np.random.default_rng(0))
+        learner.run(env)
+        assert env.t == 2 and learner.s == s + 1 and learner.reset_rounds == 0
+        assert env.prices[0] == p_hat + kappa * d
+        assert env.demands[0] == expected_demand(inst, env.prices[0], r)
         assert d < learner.p_hat < r - d  # interior: the projection did not clip
         steps.append(learner.p_hat - p_hat)
     analytic = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p_hat
@@ -289,9 +293,11 @@ def test_greedy_learner_iterates_stay_projected(inst_symmetric):
     rng = np.random.default_rng(5)
     env = SimEnv(inst, NoiseSpec.gaussian(3.0), 3000, r_target, rng)
     learner = LearnGreedyState(r_target=r_target, d=d, budget=500, p_max=inst.p_max, rng=rng)
-    while not learner.done and env.t <= env.T:
-        block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
-        learner.observe(env.t, env.post_block(block))
+    # Raising the budget one round at a time checks every iterate.
+    for budget in range(1, 501):
+        learner.budget = budget
+        learner.run(env)
+        assert learner.learn_rounds == budget or env.t > env.T
         assert d <= learner.p_hat <= r_target - d
     assert d <= learner.estimate() <= r_target - d
 
@@ -311,13 +317,79 @@ def test_greedy_learner_converges_with_noise(inst_symmetric):
             p_max=inst.p_max,
             rng=rng,
         )
-        while not learner.done:
-            block = learner.next_block(env.t, env.r)
-            learner.observe(env.t, env.post_block(block))
+        learner.run(env)
         errs.append(abs(learner.estimate() - true_p))
         assert learner.learn_rounds == 8000
         assert learner.learn_rounds + learner.reset_rounds == env.t - 1
     assert np.mean(errs) < 0.08
+
+
+NOISES = (NoiseSpec.none(), NoiseSpec.bounded_uniform(0.3), NoiseSpec.gaussian(0.4))
+# The conftest instance; hypothesis tests take no function-scoped fixtures.
+INST = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4.0 / 3.0, p_ratio_bound=1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    noise=st.sampled_from(NOISES),
+    budget=st.integers(4, 300),
+    split=st.integers(1, 300),
+    T=st.one_of(st.integers(1, 400), st.integers(BLOCK_CHUNK - 100, BLOCK_CHUNK + 2000)),
+    seed=st.integers(0, 2**32 - 1),
+    r_target=st.one_of(
+        st.floats(INST.p_max - 1e-6, INST.p_max - 5e-7),
+        st.floats(5e-7, 1e-6),
+        st.floats(INST.p_max - 0.06, INST.p_max - 0.005),
+        st.floats(0.05, INST.p_max - 0.05),
+    ),
+    d_share=st.floats(0.01, 0.99),
+    r1_share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_kernel_matches_block_loop(noise, budget, split, T, seed, r_target, d_share, r1_share):
+    # The kernel against the per-block loop with every round posted by the
+    # scalar oracle.  Targets within 1e-6 of p_max or of 0 make plans that
+    # the horizon cuts, some past BLOCK_CHUNK; targets 0.005-0.06 below p_max
+    # make plans of tens of rounds, around BLOCK_CUTOVER.  The kernel runs in
+    # two calls, the budget raised in between.
+    inst = INST
+    d = 0.5 * d_share * r_target
+    r1 = r_target if r1_share is None else r1_share * inst.p_max
+    sides = []
+    for kernel in (True, False):
+        rng = np.random.default_rng(seed)
+        env = SimEnv(inst, noise, T, r1, rng)
+        cls = LearnGreedyState if kernel else BlockLearner
+        learner = cls(r_target=r_target, d=d, budget=budget, p_max=inst.p_max, rng=rng)
+        if kernel:
+            learner.budget = min(split, budget)
+            learner.run(env)
+            learner.budget = budget
+            learner.run(env)
+        else:
+            run_blocks(learner, env)
+        n = env.t - 1
+        sides.append(
+            (
+                [x.hex() for x in (learner.estimate(), learner.p_hat, learner.sum_iterates, env.r, env.total)],
+                (learner.s, learner.reset_rounds, env.t, env.count),
+                (env.prices[:n].tobytes(), env.refs[:n].tobytes(), env.demands[:n].tobytes()),
+                rng.bit_generator.state,
+            )
+        )
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("T", [1, 10**5])
+def test_kernel_out_of_range_price(inst_symmetric, T):
+    # A learner whose p_max exceeds the instance's plans its reset at a price
+    # the instance rejects.  The plan has 99,999 rounds: cut to one round it
+    # is posted inline, whole it goes to ``post_block``; both fail with
+    # DomainError before the round is posted.
+    env = SimEnv(inst_symmetric, NoiseSpec.none(), T, 1.0, np.random.default_rng(0))
+    learner = LearnGreedyState(r_target=1.99999, d=0.1, budget=10, p_max=2.0, rng=env.rng)
+    with pytest.raises(DomainError):
+        learner.run(env)
+    assert env.t == 1
 
 
 # ---------------------------------------------------------------------------
