@@ -133,6 +133,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     for rec in records:
         if rec.flagged:
             print(f"warning: negative mean regret at T={rec.T} (baseline inconsistency?)")
+        if rec.n_exploring:
+            print(
+                f"note: at T={rec.T}, {rec.n_exploring} of {rec.n_seeds} episodes never left"
+                " exploration; the horizon still enters the slope fit"
+            )
     return 0
 
 

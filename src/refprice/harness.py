@@ -197,11 +197,14 @@ def clairvoyant_value(inst: Instance, r1: float, T: int) -> float:
     Symmetric effects: the curve from r1, which is the exact optimum.
     Asymmetric: the curve computed from p_max, posted from r1; see
     ``baseline_kind``."""
-    return _episode_value(_baseline_job(inst, r1, T))
+    return _episode_value(_baseline_job(inst, r1, T))[0]
 
 
 @dataclass
 class RegretRecord:
+    """One horizon of a regret sweep.  ``n_exploring`` counts its episodes
+    that never left exploration; it is not written to ``regret.csv``."""
+
     T: int
     n_seeds: int
     mean_regret: float
@@ -209,11 +212,14 @@ class RegretRecord:
     baseline_value: float
     policy_value_mean: float
     flagged: bool = False
+    n_exploring: int = 0
 
 
-def _episode_value(job) -> float:
-    """Pool task: the expected total of one episode."""
-    return run_episode(*job).expected_total
+def _episode_value(job) -> tuple[float, bool]:
+    """Pool task: the expected total of one episode, and whether it never
+    reached exploitation (a learner whose ``t2`` is None)."""
+    rec = run_episode(*job)
+    return rec.expected_total, "t2" in rec.meta and rec.meta["t2"] is None
 
 
 def regret_sweep(
@@ -235,7 +241,8 @@ def regret_sweep(
 
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
-    nonpositive horizons are excluded from the slope fit.
+    nonpositive horizons are excluded from the slope fit.  Horizons whose
+    episodes never left exploration (``n_exploring``) still enter it.
     """
     if len(T_list) == 0:
         raise ValueError("T_list must not be empty")
@@ -257,8 +264,8 @@ def regret_sweep(
     by_horizon = {k: results[j * (seeds + 1) : (j + 1) * (seeds + 1)] for j, k in enumerate(order)}
     records = []
     for k, T in enumerate(T_list):
-        v_star, *values = by_horizon[k]
-        values = np.asarray(values)
+        (v_star, _), *episodes = by_horizon[k]
+        values = np.asarray([value for value, _ in episodes])
         mean_value = float(np.mean(values))
         regret = v_star - mean_value
         stderr = float(np.std(values, ddof=1) / np.sqrt(seeds)) if seeds > 1 else 0.0
@@ -272,6 +279,7 @@ def regret_sweep(
                 baseline_value=v_star,
                 policy_value_mean=mean_value,
                 flagged=flagged,
+                n_exploring=sum(exploring for _, exploring in episodes),
             )
         )
     return records, fit_loglog_slope(records)

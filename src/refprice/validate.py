@@ -13,7 +13,9 @@ from its segment's initial price alone, the value ``curve_from_markdown_start``
 tests, and builds no curve; it rolls a chunk of starts at once, each start's
 initial price bit-identical to ``segment_initial_price``'s.  The brute-force
 reset tests a chunk of plan lengths per numpy pass, and the gradient check
-evaluates the estimate from its two perturbed prices.
+evaluates the estimate from its two perturbed prices, turning each shock
+array into its own estimate in place, so that it holds no more than three
+float64 arrays of its draw count at once.
 """
 
 from __future__ import annotations
@@ -475,6 +477,12 @@ def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> Ch
     )
 
 
+# The gradient check draws its sign bits and builds its estimate this many
+# draws at a time.  Even, so that every slice but the last draws its bits from
+# whole 64-bit outputs and the sliced draws equal one draw of them all.
+BITS_CHUNK = 2**16
+
+
 def _gradient_z_scores(
     rng: np.random.Generator, n_points: int, n_draws: int
 ) -> Iterator[float]:
@@ -484,12 +492,19 @@ def _gradient_z_scores(
     The estimate is ``((pt*demand)*kappa)/d`` with
     ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks`` and kappa = ±1, so
     pt, the demand before its shock and pt*kappa each take two values,
-    computed once in scalar form.  Each draw gathers its base demand, adds
-    its shock, multiplies by its pt*kappa and divides by d, into two buffers
-    allocated once.  A sign flip is exact and commutes with rounding, so every
-    z is bit-identical to evaluating the expression with fresh arrays.
+    computed once in scalar form.  Each shock array becomes its own estimate,
+    in place, ``BITS_CHUNK`` draws at a time: the slice's sign bits are drawn,
+    its base demand gathered into a scratch buffer and added, its pt*kappa
+    gathered into the same buffer and multiplied, and the slice divided by d.
+    No more than three float64 arrays of ``n_draws`` are alive at once: a
+    point's two shock arrays and ``np.std``'s temporary.  Addition commutes,
+    a sign flip is exact and commutes with rounding, and numpy's
+    bounded-integer draw starts each call on a fresh 64-bit output, so every
+    z and the generator state after the check are bit-identical to
+    evaluating the expression with fresh arrays and one bit draw per shock
+    array.
     """
-    g, w = np.empty(n_draws), np.empty(n_draws)
+    scratch = np.empty(min(n_draws, BITS_CHUNK))
     for _ in range(n_points):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(inst.p_ratio_bound, inst.p_max)
@@ -500,20 +515,26 @@ def _gradient_z_scores(
         pt = [p + kappa * d for kappa in kappas]
         base = np.array([inst.b - inst.a * x + inst.eta_plus * (r - x) for x in pt])
         signed_pt = np.array([x * kappa for x, kappa in zip(pt, kappas)])
-        for shocks in (
-            rng.uniform(-0.2, 0.2, size=n_draws),
-            rng.normal(0.0, 0.2, size=n_draws),
-        ):
-            bits = rng.integers(0, 2, size=n_draws)
-            # The bits are 0 or 1, so "clip" changes no index; "raise" would
-            # gather through a temporary copy.
-            np.take(base, bits, out=g, mode="clip")
-            np.add(g, shocks, out=g)
-            np.take(signed_pt, bits, out=w, mode="clip")
-            np.multiply(g, w, out=g)
-            np.divide(g, d, out=g)
+        shocks = [rng.uniform(-0.2, 0.2, size=n_draws), rng.normal(0.0, 0.2, size=n_draws)]
+        while shocks:
+            g = shocks.pop(0)
+            for lo in range(0, n_draws, BITS_CHUNK):
+                part = g[lo : lo + BITS_CHUNK]
+                buf = scratch[: len(part)]
+                bits = rng.integers(0, 2, size=len(part))
+                # The bits are 0 or 1, so "clip" changes no index; "raise"
+                # would gather through a temporary copy.
+                np.take(base, bits, out=buf, mode="clip")
+                part += buf
+                np.take(signed_pt, bits, out=buf, mode="clip")
+                part *= buf
+                part /= d
             se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
-            yield abs(float(np.mean(g)) - target) / se
+            z = abs(float(np.mean(g)) - target) / se
+            # Released before yielding, or a point's last array would outlive
+            # the next point's draws.
+            del g
+            yield z
 
 
 def check_gradient_unbiased(

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import resource
 import subprocess
@@ -15,6 +16,7 @@ from refprice.config import (
     load_config,
     parse_config,
 )
+from refprice.harness import run_episode
 
 BASE = {
     "instance": {
@@ -149,6 +151,31 @@ def test_sweep_csv_contract(tmp_path):
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "T,n_seeds,mean_regret,stderr,baseline_value,policy_value_mean,flagged"
     assert lines[-1].startswith("# slope=")
+
+
+def test_sweep_notes_horizons_that_never_left_exploration(tmp_path, capsys):
+    """At c_t1 = 1 some learner episodes reach exploitation by T = 1000 and
+    2000 and all by 3000.  Each horizon with an episode whose t2 is None gets
+    one note line; regret.csv keeps its bytes (captured before the count
+    existed)."""
+    path = os.path.join(CONFIGS, "learning_sweep.yaml")
+    overrides = ["policy.c_t1=1.0", "run.T_list=[1000,2000,3000]", "run.seeds=4"]
+    assert main(["sweep", "--config", path, "--out", str(tmp_path), *overrides]) == 0
+    cfg = load_config(path, overrides)
+    notes = []
+    for T in cfg.run.T_list:
+        seeds = range(cfg.run.base_seed, cfg.run.base_seed + cfg.run.seeds)
+        records = [run_episode(cfg.instance, cfg.noise, cfg.policy, T, cfg.run.r1, s) for s in seeds]
+        n = sum(rec.meta["t2"] is None for rec in records)
+        if n:
+            notes.append(
+                f"note: at T={T}, {n} of {cfg.run.seeds} episodes never left exploration;"
+                " the horizon still enters the slope fit"
+            )
+    assert len(notes) == 2
+    assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")] == notes
+    digest = hashlib.sha256((tmp_path / "regret.csv").read_bytes()).hexdigest()
+    assert digest == "c8d0cd03d8596d07d931847e1e5eca4f385b17ac3763b8dbaf3636de707ec78c"
 
 
 def test_policy_config_validation(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,11 +146,33 @@ def allocating_gradient_z_scores(rng, n_points, n_draws):
 
 @pytest.mark.parametrize("seed", [0, 1, 707, 2024])
 def test_gradient_z_bit_identical_to_allocating_expression(seed):
-    expected = allocating_gradient_z_scores(np.random.default_rng(seed), 3, 10**4)
-    got = list(_gradient_z_scores(np.random.default_rng(seed), 3, 10**4))
-    assert [z.hex() for z in got] == [z.hex() for z in expected]
+    # Sizes on both sides of the slice boundaries: an odd last slice draws
+    # half a 64-bit output, as one draw of all the bits does.
+    assert validate.BITS_CHUNK % 2 == 0
+    chunk = validate.BITS_CHUNK
+    for n_draws in (3, 1001, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = allocating_gradient_z_scores(ref_rng, 3, n_draws)
+        got = list(_gradient_z_scores(rng, 3, n_draws))
+        assert [z.hex() for z in got] == [z.hex() for z in expected], n_draws
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, n_draws
     result = check_gradient_unbiased(np.random.default_rng(seed), n_points=3, n_draws=10**4)
+    expected = allocating_gradient_z_scores(np.random.default_rng(seed), 3, 10**4)
     assert result.detail == f"max |z| {max([0.0, *expected]):.2f} (limit 3)"
+
+
+def test_gradient_z_scores_hold_at_most_four_arrays():
+    # Three float64 arrays of n_draws (a point's two shock arrays and
+    # np.std's temporary) plus the per-slice bits and scratch buffer.
+    n_draws = 2 * 10**5
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        list(_gradient_z_scores(rng, 2, n_draws))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n_draws
 
 
 def scalar_linear_scan(theta, r_start, t_start, horizon, p_max):
