@@ -27,6 +27,7 @@ from .harness import (
     write_regret_csv,
 )
 from .model import DomainError, true_policy_params
+from .policies import make_policy
 from .validate import run_all
 
 
@@ -93,10 +94,12 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.run.T is None:
         raise ConfigError("simulate requires run.T")
+    policy = cfg.policy
+    if policy["kind"] != "learn_then_earn":
+        # A planned path does not depend on the seed: build it once.
+        policy = make_policy(policy, cfg.instance, cfg.run.T, cfg.run.r1, rng=None)
     records = [
-        run_episode(
-            cfg.instance, cfg.noise, cfg.policy, cfg.run.T, cfg.run.r1, cfg.run.base_seed + i
-        )
+        run_episode(cfg.instance, cfg.noise, policy, cfg.run.T, cfg.run.r1, cfg.run.base_seed + i)
         for i in range(cfg.run.seeds)
     ]
     path = os.path.join(_outdir(cfg), "episodes.csv")

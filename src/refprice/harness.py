@@ -11,17 +11,24 @@ way, as a noiseless ``markdown_oracle`` episode.  Episodes are deterministic
 given (instance, noise, policy spec, T, r1, seed); the seed for episode i of a
 run is base_seed + i, with the same seed list reused across the horizons of a
 sweep.
+
+The CSV writers format rows in chunks, column by column, and format a column
+chunk that repeats, within a block or across blocks (episodes) at the same
+row offset, once per process; a large output is split offset-major among
+forked helpers and assembled in file order, with the same bytes for any
+number of processes (see ``_write_csv``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
 import tempfile
 import threading
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +41,8 @@ from .policies import Policy, make_policy
 BLOCK_CHUNK = 4096
 # Rows the CSV writer formats and writes at a time.
 CSV_ROWS = 16384
+# Bytes the CSV writer copies from a temp file at a time.
+COPY_BYTES = 1 << 16
 
 
 class SimEnv:
@@ -167,7 +176,9 @@ def run_episode(
     seed: int,
 ) -> EpisodeRecord:
     """Simulate one episode.  ``policy`` is a config mapping (a fresh policy is
-    built) or an already-built single-episode Policy."""
+    built) or an already-built Policy.  A learner is for one episode only; a
+    planned policy (every kind but ``learn_then_earn``) posts its fixed path
+    and may be reused for any number of episodes."""
     rng = np.random.default_rng(seed)
     if isinstance(policy, dict):
         policy = make_policy(policy, inst, T, r1, rng)
@@ -314,73 +325,164 @@ def _format_column(chunk: np.ndarray) -> list:
     return np.repeat(strings, np.diff(starts, append=len(chunk))).tolist()
 
 
-def _write_rows(f, blocks, lo: int, hi: int) -> None:
-    """Write rows ``lo`` to ``hi - 1`` of the concatenated ``blocks`` to ``f``
-    and flush it.  Each block's rows go ``CSV_ROWS`` at a time from the first
-    row in range, one column at a time."""
-    for columns in blocks:
-        n = len(columns[0]) if columns else 0
-        end = min(hi, n)
-        for start in range(max(lo, 0), end, CSV_ROWS):
-            by_bits = {}
-            cells = []
-            for column in columns:
-                chunk = np.ascontiguousarray(column[start : min(start + CSV_ROWS, end)])
-                key = (chunk.dtype.str, chunk.tobytes())
-                if key not in by_bits:
-                    by_bits[key] = _format_column(chunk)
-                cells.append(by_bits[key])
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        lo, hi = lo - n, hi - n
-    f.flush()
+def _format_chunk(columns, lo: int, strings: dict) -> str:
+    """The text of rows ``lo`` to ``lo + CSV_ROWS - 1`` of ``columns`` (fewer
+    at the block's end), one column at a time.  ``strings`` maps a column
+    chunk's (dtype, raw bytes) to its cells: a chunk found there is not
+    formatted again, and every new one is added."""
+    cells = []
+    for column in columns:
+        chunk = np.ascontiguousarray(column[lo : lo + CSV_ROWS])
+        key = (chunk.dtype.str, chunk.tobytes())
+        if key not in strings:
+            strings[key] = _format_column(chunk)
+        cells.append(strings[key])
+    return "\n".join(chain(map(",".join, zip(*cells)), ("",)))
 
 
-def _write_shares(f, blocks, bounds, directory) -> None:
-    """Write rows ``bounds[k]`` to ``bounds[k + 1] - 1`` for every k, in order.
+def _write_items(blocks, items, f, tmp, to_file=frozenset()) -> list:
+    """Format ``items``, (row offset, block) pairs, in order.  The texts of
+    the items in ``to_file`` go to the text file ``f``, every other text to
+    the binary file ``tmp``; returns the lengths of those, in order.
 
-    Share 0 is formatted by this process straight into ``f``; every later
-    share by a helper forked before that starts, so it inherits ``blocks``
-    instead of receiving a pickled copy, into an anonymous temp file in
-    ``directory``, appended to ``f`` once the helper has exited.  Where
-    ``directory`` takes no new file (it may be read-only while ``f`` itself
-    is writable), this process writes every share and forks nothing.  A
-    helper that fails raises ``OSError``; on any failure the helpers still
-    running are terminated, and every helper is joined and every temp file
-    closed before this returns or raises.
+    The strings of the first item formatted at an offset are kept while the
+    items that follow are at the same offset, and a later item's column chunk
+    with the same dtype and raw bits reuses them.  So at most two items'
+    strings are held at once: the kept ones and the current item's.
     """
+    lengths = []
+    kept_at = None
+    for lo, b in items:
+        if lo != kept_at:
+            kept_at, kept = lo, {}
+            strings = kept
+        else:
+            strings = dict(kept)
+        text = _format_chunk(blocks[b], lo, strings)
+        if (lo, b) in to_file:
+            f.write(text)
+        else:
+            lengths.append(tmp.write(text.encode()))
+        del text  # before the next item is formatted
+    return lengths
+
+
+def _write_run(blocks, run, tmp, send) -> None:
+    """A helper process's work: format ``run`` into ``tmp`` and send the
+    texts' lengths through the connection ``send``."""
+    lengths = _write_items(blocks, run, None, tmp)
+    tmp.flush()
+    send.send(lengths)
+
+
+def _split(sizes, workers: int) -> tuple[list, list]:
+    """The ``CSV_ROWS`` chunks of blocks of ``sizes`` rows as (row offset,
+    block) items, in file order, and the same items offset-major (every
+    block's chunk at offset 0, then at ``CSV_ROWS``, ...) cut into
+    ``workers`` contiguous runs of about equal rows: run k starts at the item
+    boundary nearest row rows * k // ``workers`` of the list (the earlier on
+    a tie).  With ``workers`` at most rows // ``CSV_ROWS``, no run is empty."""
+    file_order = [(lo, b) for b, n in enumerate(sizes) for lo in range(0, n, CSV_ROWS)]
+    items = sorted(file_order)
+    bounds = list(accumulate((min(CSV_ROWS, sizes[b] - lo) for lo, b in items), initial=0))
+    cuts = []
+    for k in range(workers):
+        x = bounds[-1] * k // workers
+        i = bisect_left(bounds, x)
+        cuts.append(i - (i > 0 and x - bounds[i - 1] <= bounds[i] - x))
+    cuts.append(len(items))
+    return file_order, [items[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _copy(tmp, pos: int, length: int, out) -> None:
+    """Append bytes ``pos`` to ``pos + length - 1`` of ``tmp`` to ``out``,
+    ``COPY_BYTES`` at a time."""
+    tmp.seek(pos)
+    while length:
+        data = tmp.read(min(length, COPY_BYTES))
+        if not data:
+            raise OSError("CSV temp file ended before its texts")
+        out.write(data)
+        length -= len(data)
+
+
+def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
+    """Write the rows of ``blocks`` to ``f`` in ``workers`` processes.
+
+    The items of ``_split`` are formatted run by run: run 0 by this process,
+    every other by a helper forked before run 0 starts, so it inherits
+    ``blocks`` instead of receiving a pickled copy.  This process writes
+    each text of run 0 that is next in file order (block 0's chunks, and
+    every chunk where each block is one chunk long) straight into ``f``;
+    every other text goes to its process's anonymous temp file in
+    ``directory``, at most one per process.  Each helper sends back its
+    texts' lengths through a pipe, and once every helper has exited the
+    texts are copied from the temp files into ``f`` in file order.  Where
+    ``directory`` takes no new file (it may be read-only while ``f`` itself
+    is writable), this process formats every item in file order straight
+    into ``f`` and forks nothing.
+
+    A helper that fails raises ``OSError``; on any failure the helpers still
+    running are terminated, and every helper is joined and every pipe and
+    temp file closed before this returns or raises.
+    """
+    file_order, runs = _split(sizes, workers)
+    straight = 0  # the texts of run 0 that continue the file
+    for item in runs[0]:
+        straight += item == file_order[straight]
+    to_file = set(file_order[:straight])
     # A helper inherits f's buffer: it must be empty, or a flush in the
     # helper would write its lines a second time.
     f.flush()
     fork = multiprocessing.get_context("fork")
-    temps, helpers = [], []
+    temps, pipes, helpers = [], [], []
     try:
         try:
-            for _ in bounds[2:]:
-                temps.append(tempfile.TemporaryFile("w+", dir=directory, encoding=f.encoding))
+            for k, run in enumerate(runs):
+                needed = k > 0 or straight < len(run)
+                temps.append(tempfile.TemporaryFile(dir=directory) if needed else None)
         except OSError:
-            _write_rows(f, blocks, bounds[0], bounds[-1])
+            _write_items(blocks, file_order, f, None, set(file_order))
             return
-        for tmp, lo, hi in zip(temps, bounds[1:-1], bounds[2:]):
-            helper = fork.Process(target=_write_rows, args=(tmp, blocks, lo, hi))
+        for run, tmp in zip(runs[1:], temps[1:]):
+            receive, send = fork.Pipe(duplex=False)
+            pipes += [receive, send]
+            helper = fork.Process(target=_write_run, args=(blocks, run, tmp, send))
             helper.start()
             helpers.append(helper)
-        _write_rows(f, blocks, bounds[0], bounds[1])
-        for k, (helper, tmp) in enumerate(zip(helpers, temps), 1):
+            send.close()  # so that a helper's death reads as EOF
+        lengths = [_write_items(blocks, runs[0], f, temps[0], to_file)]
+        for k, (helper, receive) in enumerate(zip(helpers, pipes[::2]), 1):
+            try:
+                lengths.append(receive.recv())
+            except EOFError:  # the helper died first; its exit code says how
+                pass
             helper.join()
             if helper.exitcode != 0:
+                lo, b = runs[k][0]
                 raise OSError(
-                    f"CSV share {k} (rows {bounds[k]} to {bounds[k + 1] - 1}): "
-                    f"writer process exited with code {helper.exitcode}"
+                    f"CSV writer process {k} (from row {lo} of block {b}): "
+                    f"exited with code {helper.exitcode}"
                 )
-            tmp.seek(0)
-            shutil.copyfileobj(tmp.buffer, f.buffer)
+        spans = {}
+        for run, tmp, run_lengths in zip(runs, temps, lengths):
+            pos = 0
+            for item, length in zip([item for item in run if item not in to_file], run_lengths):
+                spans[item] = (tmp, pos, length)
+                pos += length
+        f.flush()
+        for item in file_order[straight:]:
+            _copy(*spans[item], f.buffer)
     finally:
         for helper in helpers:
             helper.terminate()  # a no-op once the helper has been joined
             helper.join()
             helper.close()
+        for conn in pipes:
+            conn.close()
         for tmp in temps:
-            tmp.close()
+            if tmp is not None:
+                tmp.close()
 
 
 def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
@@ -392,48 +494,53 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
     entry: ints print as ints, floats in their shortest round-trip form.
 
-    The rows are formatted ``CSV_ROWS`` at a time, one column at a time, so
-    memory is bounded by the chunk.  A distinct cell is formatted once where
-    it repeats: a run of equal cells within a column shares one string, and
-    a column chunk identical to an earlier column's in the same block reuses
-    that column's strings.  Equal means the same dtype and the same raw
-    bits, never ``==``: ``0.0`` and ``-0.0``, or two NaN payloads, never
-    share a string.
+    The rows are formatted in chunks of ``CSV_ROWS``, one column at a time.
+    A distinct cell is formatted once where it repeats: a run of equal cells
+    within a column shares one string, and a column chunk identical to an
+    earlier one at the same row offset, in the same block or in an earlier
+    block formatted by the same process, reuses its strings.  So the columns
+    that repeat across episodes (a planned path's ``t``, ``price``,
+    ``reference`` and ``expected_revenue``; without noise, every column but
+    ``episode`` and ``seed``) are formatted once per process.  Identical
+    means the same dtype and the same raw bits, never ``==``: ``0.0`` and
+    ``-0.0``, or two NaN payloads, never share a string.  A process holds the
+    strings of at most two chunks, however many blocks there are.
 
-    The rows are split into W = min(``threads``, rows // ``CSV_ROWS``)
-    contiguous shares, so an output under two chunks is written by this
-    process alone.  With W > 1 this process writes share 0 and W - 1 forked
-    helpers the others (see ``_write_shares``); W drops to 1 where ``fork``
-    is unavailable or another thread is running, since forking a process
-    with threads is unsafe, and where the output's directory takes no temp
-    file.  A cell's text does not depend on where a chunk or a share
-    begins, so the bytes do not depend on W.
+    The chunks are split offset-major into W = min(``threads``,
+    rows // ``CSV_ROWS``) contiguous runs of about equal rows, so an output
+    under two chunks is written by this process alone.  With W > 1 this
+    process formats run 0 and W - 1 forked helpers the others (see
+    ``_write_blocks``); W drops to 1 where ``fork`` is unavailable or
+    another thread is running, since forking a process with threads is
+    unsafe.  A cell's text does not depend on where a chunk or a run begins,
+    and the texts are written in file order, so the bytes do not depend on W.
     """
     blocks = [[np.asarray(column) for column in columns] for columns in blocks]
     for columns in blocks:
         lengths = [len(column) for column in columns]
         if len(set(lengths)) > 1:
             raise ValueError(f"CSV block columns differ in length: {lengths}")
-    rows = sum(len(columns[0]) for columns in blocks if columns)
-    shares = min(threads, rows // CSV_ROWS)
-    if shares > 1 and (
+    sizes = [len(columns[0]) if columns else 0 for columns in blocks]
+    workers = max(1, min(threads, sum(sizes) // CSV_ROWS))
+    if workers > 1 and (
         threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        shares = 1
-    with open(path, "w") as f:
+        workers = 1
+    # The temp files hold UTF-8: the whole file is written in that encoding.
+    with open(path, "w", encoding="utf-8") as f:
         for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n")
         f.write(header + "\n")
-        if shares > 1:
-            bounds = [rows * k // shares for k in range(shares + 1)]
-            _write_shares(f, blocks, bounds, os.path.dirname(os.path.abspath(path)))
-        else:
-            _write_rows(f, blocks, 0, rows)
+        _write_blocks(f, blocks, sizes, workers, os.path.dirname(os.path.abspath(path)))
         for line in footer:
             f.write(line + "\n")
 
 
 def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1) -> None:
+    """Every round of every episode, one block per episode, after ``#
+    key=value`` lines for the run.  The ``# policy_*`` lines (such as a
+    learner's ``t2``, ``reset_rounds`` and ``degenerate``) describe the
+    first episode only; later episodes may differ."""
     meta = {}
     if records:
         rec = records[0]

@@ -436,9 +436,11 @@ class LearnThenEarn(Policy):
 
 
 def make_policy(
-    spec: dict, inst: Instance, T: int, r1: float, rng: np.random.Generator
+    spec: dict, inst: Instance, T: int, r1: float, rng: Optional[np.random.Generator]
 ) -> Policy:
-    """Build a fresh single-episode policy from a config-style mapping."""
+    """Build a policy from a config-style mapping.  Only ``learn_then_earn``
+    uses ``rng``, and it is for one episode; every other kind is a planned
+    path, built from no draw, which any number of episodes may share."""
     kind = spec["kind"]
     if kind == "fixed":
         return PlannedPolicy(kind, np.full(T, float(spec["price"])))

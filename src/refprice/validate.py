@@ -14,8 +14,9 @@ tests, and builds no curve; it rolls a chunk of starts at once, each start's
 initial price bit-identical to ``segment_initial_price``'s.  The brute-force
 reset tests a chunk of plan lengths per numpy pass, and the gradient check
 evaluates the estimate from its two perturbed prices, turning each shock
-array into its own estimate in place, so that it holds no more than three
-float64 arrays of its draw count at once.
+array into its own estimate in place and computing its mean and variance
+there, so that it holds no more than two float64 arrays of its draw count at
+once.
 """
 
 from __future__ import annotations
@@ -496,13 +497,14 @@ def _gradient_z_scores(
     in place, ``BITS_CHUNK`` draws at a time: the slice's sign bits are drawn,
     its base demand gathered into a scratch buffer and added, its pt*kappa
     gathered into the same buffer and multiplied, and the slice divided by d.
-    No more than three float64 arrays of ``n_draws`` are alive at once: a
-    point's two shock arrays and ``np.std``'s temporary.  Addition commutes,
-    a sign flip is exact and commutes with rounding, and numpy's
-    bounded-integer draw starts each call on a fresh 64-bit output, so every
-    z and the generator state after the check are bit-identical to
-    evaluating the expression with fresh arrays and one bit draw per shock
-    array.
+    The mean and the sample variance are then computed in the array itself
+    (the squared deviations overwrite the estimates), so no more than two
+    float64 arrays of ``n_draws`` are alive at once: a point's two shock
+    arrays.  Addition commutes, a sign flip is exact and commutes with
+    rounding, and numpy's bounded-integer draw starts each call on a fresh
+    64-bit output, so every z and the generator state after the check are
+    bit-identical to evaluating the expression with fresh arrays and one bit
+    draw per shock array.
     """
     scratch = np.empty(min(n_draws, BITS_CHUNK))
     for _ in range(n_points):
@@ -529,11 +531,16 @@ def _gradient_z_scores(
                 np.take(signed_pt, bits, out=buf, mode="clip")
                 part *= buf
                 part /= d
-            se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
-            z = abs(float(np.mean(g)) - target) / se
-            # Released before yielding, or a point's last array would outlive
-            # the next point's draws.
-            del g
+                del bits  # before the next slice's are drawn
+            # np.mean and np.std(ddof=1), bit for bit, in g's own memory.
+            mean = np.add.reduce(g) / n_draws
+            g -= mean
+            g *= g
+            se = float(np.sqrt(np.add.reduce(g) / (n_draws - 1)) / math.sqrt(n_draws))
+            z = abs(float(mean) - target) / se
+            # Released before yielding, with the last slice's view of it, or
+            # a point's last array would outlive the next point's draws.
+            g = part = None
             yield z
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from refprice import policies
 from refprice.cli import main
 from refprice.config import (
     SEED_ENV_VAR,
@@ -16,7 +17,7 @@ from refprice.config import (
     load_config,
     parse_config,
 )
-from refprice.harness import run_episode
+from refprice.harness import run_episode, write_episodes_csv
 
 BASE = {
     "instance": {
@@ -122,6 +123,30 @@ def test_simulate_writes_episodes(tmp_path):
     assert header == "episode,seed,t,price,reference,demand,expected_revenue,realized_revenue"
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert len(rows) == 2 * 50  # seeds * T
+
+
+def test_simulate_solves_a_planned_path_once(tmp_path, monkeypatch):
+    """A planned path does not depend on the seed: 3 noisy markdown-oracle
+    episodes solve 1 curve and write the bytes of a policy built per seed."""
+    solves = []
+    solve_curve = policies.solve_curve
+
+    def spy(*args):
+        solves.append(args)
+        return solve_curve(*args)
+
+    monkeypatch.setattr(policies, "solve_curve", spy)
+    config = os.path.join(CONFIGS, "default.yaml")
+    overrides = ["run.T=500", "run.seeds=3", "noise.kind=bounded_uniform", "noise.half_width=0.1"]
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)] + overrides) == 0
+    assert len(solves) == 1
+    cfg = load_config(config, overrides=overrides)
+    records = [
+        run_episode(cfg.instance, cfg.noise, cfg.policy, cfg.run.T, cfg.run.r1, seed)
+        for seed in range(3)
+    ]
+    write_episodes_csv(records, tmp_path / "per_seed.csv")
+    assert (tmp_path / "episodes.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
 
 
 def test_sweep_deterministic_bytes(tmp_path):

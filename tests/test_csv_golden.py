@@ -18,6 +18,13 @@ longer than one ``CSV_ROWS`` chunk (16,384 rows), so chunk boundaries fall
 inside their blocks.  The first has a two-valued price column and, without
 noise, a ``realized_revenue`` column bit-identical to ``expected_revenue``;
 the second has the curve's long hold phase at p_max.
+
+``episodes_two_price_noisy_long`` was captured before the writer came to
+reuse a column chunk across episodes.  Its three noisy episodes share the
+``t``, ``price``, ``reference`` and ``expected_revenue`` chunks at every
+offset but not ``demand`` or ``realized_revenue``, so the reuse is partial,
+and with 2 or 3 threads the runs of chunks split an offset's episodes
+between processes.
 """
 
 import hashlib
@@ -70,6 +77,14 @@ CASES = {
         "episodes.csv",
         "f8639d874ebef6285d5e8a96d11344443879c8ba469552edd78b6217fa470dc5",
     ),
+    # Three noisy episodes past two writer chunks each.
+    "episodes_two_price_noisy_long": (
+        "simulate",
+        "two_price_gap.yaml",
+        ["run.T=40000", "run.seeds=3", "noise.kind=bounded_uniform", "noise.half_width=0.1"],
+        "episodes.csv",
+        "b7bb25aa248df072ee30512407dd18addd0f717891e058f4454c37ffc9b3ba69",
+    ),
     "curve_long": (
         "solve",
         "default.yaml",
@@ -96,12 +111,22 @@ def test_csv_matches_golden(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("name", ["curve_long", "episodes_two_price_noiseless"])
+@pytest.mark.parametrize(
+    "name, threads",
+    [
+        ("curve_long", 1),
+        ("curve_long", 2),
+        ("episodes_two_price_noiseless", 1),
+        ("episodes_two_price_noiseless", 2),
+        ("episodes_two_price_noisy_long", 1),
+        ("episodes_two_price_noisy_long", 2),
+        ("episodes_two_price_noisy_long", 3),
+    ],
+)
 def test_csv_golden_does_not_depend_on_threads(tmp_path, monkeypatch, name, threads):
-    """Both outputs are over two ``CSV_ROWS`` chunks, so ``--threads 2``
-    forks one helper for the second half of the rows; ``--threads 1`` starts
-    no process at all."""
+    """Every output here has at least ``threads`` ``CSV_ROWS`` chunks of
+    rows, so ``--threads`` n forks n - 1 helpers, each for a run of about
+    1/n of the rows; ``--threads 1`` starts no process at all."""
     starts = []
     start = multiprocessing.process.BaseProcess.start
 

@@ -1,8 +1,10 @@
 import multiprocessing
 import os
 import struct
+import tempfile
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,12 +31,15 @@ from refprice.harness import (
     _write_csv,
     baseline_kind,
     fit_loglog_slope,
+    write_episodes_csv,
 )
 from refprice.model import DomainError
 from refprice.policies import Policy
 from refprice.validate import random_instance
 
 from oracles import post
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_fixed_price_episode_matches_closed_form(inst_symmetric):
@@ -388,6 +393,35 @@ def _csv_block(data, n):
     return columns
 
 
+def _copied_block(data, source, n):
+    """The columns of the block ``source`` cut to at most n rows, whole or
+    with one float cell changed to a bit pattern equal to it under ``==`` or
+    ``isnan``: a signed zero flipped, or another NaN payload."""
+    columns = [np.array(column) for column in source]
+    n = min(n, len(columns[0]) if columns else 0)
+    columns = [column[:n] for column in columns]
+    floats = [k for k, column in enumerate(columns) if column.dtype == float]
+    change = data.draw(st.sampled_from(["whole", "flip", "nan"]))
+    if change != "whole" and floats and n:
+        k, i = data.draw(st.sampled_from(floats)), data.draw(st.integers(0, n - 1))
+        a, b = (0.0, -0.0) if change == "flip" else (float("nan"), _from_bits(0xFFF8000000000001))
+        source[k][i], columns[k][i] = a, b
+    return columns
+
+
+def _csv_blocks(data):
+    """One to four blocks of up to 40 rows; a block may copy an earlier one
+    (see ``_copied_block``), so the chunks at an offset repeat across
+    blocks, wholly or in part."""
+    blocks = []
+    for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4)):
+        if blocks and data.draw(st.booleans()):
+            blocks.append(_copied_block(data, data.draw(st.sampled_from(blocks)), n))
+        else:
+            blocks.append(_csv_block(data, n))
+    return blocks
+
+
 def _assert_writes_like_rowwise(out, blocks, threads):
     meta, header, footer = {"b": 2, "a": "x"}, "h", ["# slope=nan"]
     _write_csv(out / "chunked.csv", meta, header, blocks, footer, threads=threads)
@@ -400,12 +434,13 @@ def _assert_writes_like_rowwise(out, blocks, threads):
 @given(data=st.data())
 def test_write_csv_matches_rowwise_writer(tmp_path_factory, rows, data):
     """Byte for byte the row loop's output, for any chunk size and any
-    number of shares; with 1- and 3-row chunks, 2 and 3 threads split the
-    rows into up to that many shares, wherever the boundaries fall.  The
-    blocks hold at most 120 rows, under two default chunks, so at the
+    number of runs; with 1- and 3-row chunks, 2 and 3 threads split the
+    chunks into up to that many runs, wherever the boundaries fall, and
+    blocks that copy earlier ones exercise the reuse across blocks.  The
+    blocks hold at most 160 rows, under two default chunks, so at the
     default chunk size every thread count writes in this process alone and
     only 1 is tried."""
-    blocks = [_csv_block(data, n) for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))]
+    blocks = _csv_blocks(data)
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(harness, "CSV_ROWS", rows):
         for threads in (1, 2, 3) if rows < CSV_ROWS else (1,):
@@ -423,49 +458,82 @@ def _run_block(n, value=0.5):
     return [np.full(n, value), np.arange(n)]
 
 
-# name -> (CSV_ROWS, blocks, threads, the share boundaries the case needs)
+def _episode_block(i, n):
+    """An episode-like block: its index, the round and distinct floats."""
+    return [np.broadcast_to(i, n), np.arange(1, n + 1), np.arange(n) / (i + 7.0)]
+
+
+# name -> (CSV_ROWS, blocks, threads, items in each run)
 SHARE_CASES = {
-    # Share 1 starts inside the block and inside its second 3-row chunk.
-    "share_splits_block": (3, [_csv_block_fixed(10)], 2, [0, 5, 10]),
-    "boundary_on_block_boundary": (3, [_csv_block_fixed(6), _csv_block_fixed(6)], 2, [0, 6, 12]),
+    # Run 1 starts inside the block, at its third 3-row chunk.
+    "share_splits_block": (3, [_csv_block_fixed(10)], 2, [2, 2]),
+    # Identical blocks: run 1 starts at the second offset, after block 1's
+    # first chunk, so both processes reuse a chunk across blocks.
+    "boundary_on_block_boundary": (3, [_csv_block_fixed(6), _csv_block_fixed(6)], 2, [2, 2]),
     # Every boundary falls inside one run of equal prices.
-    "boundary_inside_run": (3, [_run_block(12)], 3, [0, 4, 8, 12]),
+    "boundary_inside_run": (3, [_run_block(12)], 3, [1, 2, 1]),
     "zero_row_blocks": (
         1,
         [_run_block(0), _csv_block_fixed(7), _run_block(0), _run_block(7, -0.0), _run_block(0)],
         2,
-        [0, 7, 14],
+        [7, 7],
     ),
-    "python_lists": (1, [[[0.1 * i for i in range(9)], list(range(9))]], 3, [0, 3, 6, 9]),
+    "python_lists": (1, [[[0.1 * i for i in range(9)], list(range(9))]], 3, [3, 3, 3]),
+    # Identical blocks whose offset-0 chunks are split between the runs:
+    # run 1 formats block 2's afresh, and its last chunks are 1 row long.
+    "identical_blocks_split_at_an_offset": (3, [_csv_block_fixed(4)] * 3, 2, [2, 4]),
+    # 1000 episodes of T = 100, each one chunk: the runs cut the offset-0
+    # chunks between blocks, so the output is still written in parallel.
+    "many_short_blocks": (CSV_ROWS, [_episode_block(i, 100) for i in range(1000)], 3, [333, 334, 333]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARE_CASES))
 def test_write_csv_shares_at_edges(tmp_path, monkeypatch, name):
-    rows, blocks, threads, bounds = SHARE_CASES[name]
+    rows, blocks, threads, run_items = SHARE_CASES[name]
     monkeypatch.setattr(harness, "CSV_ROWS", rows)
-    shares = []
-    write_shares = harness._write_shares
+    runs, starts = [], []
+    split = harness._split
+    start = multiprocessing.process.BaseProcess.start
 
-    def spy(f, blocks, bounds, directory):
-        shares.append(bounds)
-        write_shares(f, blocks, bounds, directory)
+    def split_spy(sizes, workers):
+        file_order, out = split(sizes, workers)
+        runs.append(out)
+        return file_order, out
 
-    monkeypatch.setattr(harness, "_write_shares", spy)
+    def counting_start(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(harness, "_split", split_spy)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
     _assert_writes_like_rowwise(tmp_path, blocks, threads)
-    assert shares == [bounds]
+    assert [[len(run) for run in out] for out in runs] == [run_items]
+    assert len(starts) == len(run_items) - 1
+    assert sorted(os.listdir(tmp_path)) == ["chunked.csv", "rowwise.csv"]
 
 
-def _failing_rows(fail_share0, fail_helper):
-    """``_write_rows`` with a failure injected into this process's share 0
-    and into the helpers' shares, each a callable or None."""
-    write_rows = harness._write_rows
+def test_split_is_offset_major():
+    """Every block's chunk at an offset, then the next offset; the file
+    order is block by block.  The 9 rows split at row 4, an item boundary;
+    row 5 would split at the nearer of rows 4 and 6, the earlier on a tie."""
+    with mock.patch.object(harness, "CSV_ROWS", 2):
+        file_order, runs = harness._split([3, 0, 5, 1], 2)
+        assert harness._split([3, 0, 5, 3], 2)[1][0] == [(0, 0), (0, 2)]
+    assert file_order == [(0, 0), (2, 0), (0, 2), (2, 2), (4, 2), (0, 3)]
+    assert runs == [[(0, 0), (0, 2)], [(0, 3), (2, 0), (2, 2), (4, 2)]]
 
-    def write(f, blocks, lo, hi):
-        fail = fail_share0 if lo == 0 else fail_helper
+
+def _failing_items(fail_run0, fail_helper):
+    """``_write_items`` with a failure injected into this process's run 0
+    and into the helpers' runs, each a callable or None."""
+    write_items = harness._write_items
+
+    def write(blocks, items, f, tmp, to_file=frozenset()):
+        fail = fail_run0 if f is not None else fail_helper
         if fail is not None:
             fail()
-        write_rows(f, blocks, lo, hi)
+        return write_items(blocks, items, f, tmp, to_file)
 
     return write
 
@@ -479,10 +547,10 @@ def _long_blocks():
 
 
 def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch):
-    """A read-only directory holding writable output files: the helpers'
-    temp files cannot be made there, so this process writes every share and
-    starts no process.  Root ignores the directory's mode, so the refusal is
-    also made by ``tempfile``."""
+    """A read-only directory holding writable output files: the temp files
+    cannot be made there, so this process formats every chunk in file order
+    straight into the file and starts no process.  Root ignores the
+    directory's mode, so the refusal is also made by ``tempfile``."""
     monkeypatch.setattr(harness, "CSV_ROWS", 1)
     starts = []
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
@@ -507,7 +575,8 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
 def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
     """Forking a process with threads is unsafe: this process writes alone."""
     monkeypatch.setattr(harness, "CSV_ROWS", 1)
-    monkeypatch.setattr(harness, "_write_shares", None)
+    starts = []
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -516,6 +585,7 @@ def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
     finally:
         stop.set()
         thread.join()
+    assert starts == []
 
 
 @pytest.mark.parametrize(
@@ -523,8 +593,8 @@ def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
 )
 def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper, code):
     monkeypatch.setattr(harness, "CSV_ROWS", 1)
-    monkeypatch.setattr(harness, "_write_rows", _failing_rows(None, fail_helper))
-    with pytest.raises(OSError, match=f"CSV share 1 .*exited with code {code}"):
+    monkeypatch.setattr(harness, "_write_items", _failing_items(None, fail_helper))
+    with pytest.raises(OSError, match=f"CSV writer process 1 .*exited with code {code}"):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["out.csv"]
@@ -533,13 +603,93 @@ def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper,
 def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
     """The helpers would sleep a minute: they are terminated, not waited for."""
     monkeypatch.setattr(harness, "CSV_ROWS", 1)
-    monkeypatch.setattr(harness, "_write_rows", _failing_rows(_raise, lambda: time.sleep(60)))
+    monkeypatch.setattr(harness, "_write_items", _failing_items(_raise, lambda: time.sleep(60)))
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="injected"):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert time.perf_counter() - t0 < 30
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def _two_price_records(seeds, T):
+    cfg = load_config(os.path.join(CONFIGS, "two_price_gap.yaml"))
+    return [run_episode(cfg.instance, cfg.noise, cfg.policy, T, cfg.run.r1, seed) for seed in seeds]
+
+
+def test_second_noiseless_episode_formats_no_float_column(tmp_path, monkeypatch):
+    """Without noise a planned episode repeats bit for bit: the second one
+    formats only its ``episode`` and ``seed`` columns, both all 1s, so one
+    int column per chunk."""
+    records = _two_price_records([0, 1], 3 * CSV_ROWS + 5)
+    formatted = []
+    format_column = harness._format_column
+
+    def spy(chunk):
+        formatted.append(chunk.dtype.kind)
+        return format_column(chunk)
+
+    monkeypatch.setattr(harness, "_format_column", spy)
+    write_episodes_csv(records[:1], tmp_path / "one.csv", threads=1)
+    one = list(formatted)
+    formatted.clear()
+    write_episodes_csv(records, tmp_path / "two.csv", threads=1)
+    assert one.count("f") > 0
+    assert formatted.count("f") == one.count("f")
+    assert formatted.count("i") == one.count("i") + 4  # 4 chunks
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["identical", "distinct"])
+def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, distinct):
+    """8 blocks, identical or all distinct, peak within the 1-block peak plus
+    one chunk's strings (the chunk kept for reuse at each offset)."""
+    monkeypatch.setattr(harness, "CSV_ROWS", 2000)
+    rng = np.random.default_rng(0)
+
+    def block():
+        return [np.arange(10000), *rng.random((4, 10000))]
+
+    first = block()
+    blocks = [first] + [block() if distinct else first for _ in range(7)]
+    one = _traced_peak(lambda: _write_csv(tmp_path / "one.csv", {}, "h", blocks[:1]))
+    eight = _traced_peak(lambda: _write_csv(tmp_path / "eight.csv", {}, "h", blocks))
+    strings = {}
+
+    def keep_one_chunk():
+        harness._format_chunk(first, 0, strings)
+
+    tracemalloc.start()
+    try:
+        keep_one_chunk()
+        chunk = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert eight <= one + chunk
+
+
+def test_write_csv_one_temp_file_per_process(tmp_path, monkeypatch):
+    """50 blocks over 3 processes: 3 temp files, whatever the block count."""
+    monkeypatch.setattr(harness, "CSV_ROWS", 10)
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        made.append(kwargs.get("dir"))
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(harness.tempfile, "TemporaryFile", spy)
+    _assert_writes_like_rowwise(tmp_path, [_episode_block(i, 30) for i in range(50)], 3)
+    assert made == [str(tmp_path)] * 3
+    assert sorted(os.listdir(tmp_path)) == ["chunked.csv", "rowwise.csv"]
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):

@@ -161,9 +161,10 @@ def test_gradient_z_bit_identical_to_allocating_expression(seed):
     assert result.detail == f"max |z| {max([0.0, *expected]):.2f} (limit 3)"
 
 
-def test_gradient_z_scores_hold_at_most_four_arrays():
-    # Three float64 arrays of n_draws (a point's two shock arrays and
-    # np.std's temporary) plus the per-slice bits and scratch buffer.
+def test_gradient_z_scores_hold_at_most_three_arrays():
+    # Two float64 arrays of n_draws (a point's two shock arrays; the mean and
+    # variance are computed in place) plus the per-slice bits and scratch
+    # buffer.
     n_draws = 2 * 10**5
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -172,7 +173,7 @@ def test_gradient_z_scores_hold_at_most_four_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * n_draws
+    assert peak <= 3 * 8 * n_draws
 
 
 def scalar_linear_scan(theta, r_start, t_start, horizon, p_max):
