@@ -3,7 +3,8 @@
 Every command takes ``--config PATH`` plus optional dotted overrides
 (``run.seeds=50``); ``--out`` and ``--threads`` are shorthands for
 ``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
-processes of a sweep and of a large CSV write; it defaults to the usable
+processes of a sweep and of a large CSV write, and above 1 lets ``validate``
+run its Monte-Carlo check in one helper process; it defaults to the usable
 cores, and 1 starts no process.  The REFPRICE_SEED environment variable
 overrides ``run.base_seed`` (explicit overrides win).  Exit codes: 0 success,
 1 validation failure or an error while running (including a file that
@@ -28,7 +29,6 @@ from .harness import (
 )
 from .model import DomainError, true_policy_params
 from .policies import make_policy
-from .validate import run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="worker cap for sweeps and large CSV writes (overrides run.threads)",
+            help="worker cap for sweeps, large CSV writes and validate (overrides run.threads)",
         )
         p.add_argument(
             "overrides",
@@ -145,7 +145,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
-    results = run_all(seed=cfg.run.base_seed)
+    # Imported here: the oracles are the largest module to load, and no
+    # other command needs them.
+    from .validate import run_all
+
+    results = run_all(seed=cfg.run.base_seed, threads=cfg.run.threads)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

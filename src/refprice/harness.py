@@ -485,6 +485,13 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
                 tmp.close()
 
 
+def fork_usable() -> bool:
+    """Whether this process may fork helpers: the ``fork`` start method
+    exists and no other Python thread is running, since forking a process
+    with threads is unsafe."""
+    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
 def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
     """Write the ``# key=value`` lines of ``meta`` in key order, the header,
     each block's columns as rows, then the ``footer`` lines.
@@ -510,10 +517,10 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     rows // ``CSV_ROWS``) contiguous runs of about equal rows, so an output
     under two chunks is written by this process alone.  With W > 1 this
     process formats run 0 and W - 1 forked helpers the others (see
-    ``_write_blocks``); W drops to 1 where ``fork`` is unavailable or
-    another thread is running, since forking a process with threads is
-    unsafe.  A cell's text does not depend on where a chunk or a run begins,
-    and the texts are written in file order, so the bytes do not depend on W.
+    ``_write_blocks``); W drops to 1 where this process may not fork
+    (``fork_usable``).  A cell's text does not depend on where a chunk or a
+    run begins, and the texts are written in file order, so the bytes do not
+    depend on W.
     """
     blocks = [[np.asarray(column) for column in columns] for columns in blocks]
     for columns in blocks:
@@ -522,9 +529,7 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
             raise ValueError(f"CSV block columns differ in length: {lengths}")
     sizes = [len(columns[0]) if columns else 0 for columns in blocks]
     workers = max(1, min(threads, sum(sizes) // CSV_ROWS))
-    if workers > 1 and (
-        threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    if workers > 1 and not fork_usable():
         workers = 1
     # The temp files hold UTF-8: the whole file is written in that encoding.
     with open(path, "w", encoding="utf-8") as f:

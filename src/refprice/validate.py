@@ -13,16 +13,27 @@ from its segment's initial price alone, the value ``curve_from_markdown_start``
 tests, and builds no curve; it rolls a chunk of starts at once, each start's
 initial price bit-identical to ``segment_initial_price``'s.  The brute-force
 reset tests a chunk of plan lengths per numpy pass, and the gradient check
-evaluates the estimate from its two perturbed prices, turning each shock
-array into its own estimate in place and computing its mean and variance
-there, so that it holds no more than two float64 arrays of its draw count at
-once.
+evaluates the estimate from its two perturbed prices, drawing the shocks
+into two buffers allocated once, turning each into its own estimate in place
+and computing its mean and variance there, so that it holds no more than two
+float64 arrays of its draw count at once.
+
+``run_all`` draws the cases of the four deterministic checks first, then
+evaluates them, all but the first while one forked helper runs the
+Monte-Carlo gradient check and the Lipschitz check from the generator as it
+stands; the results are those of running the checks one after another.  The
+dense check's small solves run on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import multiprocessing
+import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -36,6 +47,7 @@ from .curve import (
     harmonic_range,
     solve_curve,
 )
+from .harness import fork_usable
 from .model import Instance, PolicyParams, true_policy_params
 from .policies import RESET_TOL, reset_ref
 
@@ -359,64 +371,153 @@ def random_theta(rng: np.random.Generator, p_max: float) -> PolicyParams:
     return PolicyParams(rng.uniform(0.02, 0.4), rng.uniform(0.5, 0.75) * p_max)
 
 
-def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
-    """Dense solve of random segments vs the scalar recursion and the scan."""
-    worst = 0.0
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore its thread
+    count; a no-op where numpy loaded no OpenBLAS that can be found.
+
+    The dense oracle's systems have at most 200 rows: a second BLAS thread
+    gains nothing there, and one left spinning takes a core from the rest.
+    Only the OpenBLAS already loaded from numpy's bundled libraries is
+    opened (``RTLD_NOLOAD``), and its thread count is changed for the body
+    alone; no environment variable is set.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@functools.cache
+def _openblas_threads():
+    """The get and set functions of the OpenBLAS thread count in the library
+    numpy loaded from its wheel's ``numpy.libs``, or None."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:  # no such directory
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name), mode=noload | os.RTLD_LAZY)
+        except OSError:  # not loaded
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def _dense_cases(rng: np.random.Generator, n_cases: int = 50) -> list[FocSystem]:
+    cases = []
     for _ in range(n_cases):
         p_max = rng.uniform(0.6, 2.0)
         theta = random_theta(rng, p_max)
         horizon = int(rng.integers(2, 201))
         markdown_start = int(rng.integers(1, horizon + 1))
         r_md = rng.uniform(0.0, p_max)
-        system = FocSystem(
-            markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md
+        cases.append(
+            FocSystem(markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md)
         )
-        if system.dominance_margin() <= 0.0:
-            continue
-        dense = dense_solve(system)
-        scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
-        # Started at markdown_start under a ceiling above every price, the
-        # scan's curve is the segment alone.
-        scan = solve_curve(theta, r_md, markdown_start, horizon, 2.0 * max(r_md, dense.max()))
-        for fast in (scalar, scan.prices):
-            worst = max(worst, float(np.max(np.abs(dense - fast))))
+    return cases
+
+
+def _dense_vs_recursion(cases: list[FocSystem]) -> CheckResult:
+    worst = 0.0
+    with _one_blas_thread():
+        for system in cases:
+            if system.dominance_margin() <= 0.0:
+                continue
+            dense = dense_solve(system)
+            theta, r_md = system.theta, system.r_md
+            scalar, _ = solve_segment(theta, r_md, system.markdown_start, system.horizon)
+            # Started at markdown_start under a ceiling above every price, the
+            # scan's curve is the segment alone.
+            ceiling = 2.0 * max(r_md, dense.max())
+            scan = solve_curve(theta, r_md, system.markdown_start, system.horizon, ceiling)
+            for fast in (scalar, scan.prices):
+                worst = max(worst, float(np.max(np.abs(dense - fast))))
     return CheckResult(
         "dense_vs_recursion", worst <= ORACLE_TOL, f"max abs diff {worst:.3e}"
     )
 
 
-def check_binary_vs_linear(
+def check_dense_vs_recursion(rng: np.random.Generator, **sizes) -> CheckResult:
+    """Dense solve of random segments vs the scalar recursion and the scan;
+    ``sizes`` as for ``_dense_cases``."""
+    return _dense_vs_recursion(_dense_cases(rng, **sizes))
+
+
+def _binary_cases(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
-) -> CheckResult:
-    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
-    scan, on random symmetric and asymmetric instances."""
-    mismatches = 0
+) -> list[tuple[Instance, int, float]]:
+    cases = []
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
-        theta = true_policy_params(inst)
         horizon = int(rng.integers(5, max_T + 1))
-        r_start = rng.uniform(0.0, inst.p_max)
+        cases.append((inst, horizon, rng.uniform(0.0, inst.p_max)))
+    return cases
+
+
+def _binary_vs_linear(cases: list[tuple[Instance, int, float]]) -> CheckResult:
+    mismatches = 0
+    for inst, horizon, r_start in cases:
+        theta = true_policy_params(inst)
         fast = solve_curve(theta, r_start, 1, horizon, inst.p_max)
         scan = linear_scan_markdown_start(theta, r_start, 1, horizon, inst.p_max)
         if fast.markdown_start != scan:
             mismatches += 1
     return CheckResult(
-        "binary_vs_linear_scan", mismatches == 0, f"{mismatches} mismatches in {n_cases} cases"
+        "binary_vs_linear_scan", mismatches == 0, f"{mismatches} mismatches in {len(cases)} cases"
     )
 
 
-def check_foc_residual(
+def check_binary_vs_linear(rng: np.random.Generator, **sizes) -> CheckResult:
+    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
+    scan, on random symmetric and asymmetric instances; ``sizes`` as for
+    ``_binary_cases``."""
+    return _binary_vs_linear(_binary_cases(rng, **sizes))
+
+
+def _foc_cases(
     rng: np.random.Generator, horizons=(100, 1000, 10000), n_cases: int = 5
-) -> CheckResult:
-    worst = 0.0
+) -> list[tuple[Instance, int, float]]:
+    cases = []
     for horizon in horizons:
         for _ in range(n_cases):
             inst = random_instance(rng)
-            theta = true_policy_params(inst)
-            r_start = rng.uniform(0.0, inst.p_max)
-            curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
-            worst = max(worst, foc_residual(curve, theta))
+            cases.append((inst, horizon, rng.uniform(0.0, inst.p_max)))
+    return cases
+
+
+def _foc_residual(cases: list[tuple[Instance, int, float]]) -> CheckResult:
+    worst = 0.0
+    for inst, horizon, r_start in cases:
+        theta = true_policy_params(inst)
+        curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
+        worst = max(worst, foc_residual(curve, theta))
     return CheckResult("foc_residual", worst <= FOC_TOL, f"max residual {worst:.3e}")
+
+
+def check_foc_residual(rng: np.random.Generator, **sizes) -> CheckResult:
+    """Optimality-condition residual of solved curves; ``sizes`` as for
+    ``_foc_cases``."""
+    return _foc_residual(_foc_cases(rng, **sizes))
 
 
 # Values of N that ``brute_force_reset`` tests per numpy pass.
@@ -449,14 +550,22 @@ def brute_force_reset(t: int, r_t: float, r_target: float, p_max: float, n_max: 
     return None
 
 
-def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> CheckResult:
-    bad = 0
-    worst_err = 0.0
+def _reset_cases(
+    rng: np.random.Generator, n_cases: int = 1000
+) -> list[tuple[float, int, float, float]]:
+    cases = []
     for _ in range(n_cases):
         p_max = rng.uniform(0.5, 2.0)
         t = int(rng.integers(1, 500))
         r_t = rng.uniform(0.0, p_max)
-        r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
+        cases.append((p_max, t, r_t, rng.uniform(0.05 * p_max, 0.95 * p_max)))
+    return cases
+
+
+def _reset_brute_force(cases: list[tuple[float, int, float, float]]) -> CheckResult:
+    bad = 0
+    worst_err = 0.0
+    for p_max, t, r_t, r_target in cases:
         plan = reset_ref(t, r_t, r_target, p_max)
         oracle_n = brute_force_reset(t, r_t, r_target, p_max)
         # An oracle miss counts as a mismatch; test it before using oracle_n.
@@ -478,6 +587,12 @@ def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> Ch
     )
 
 
+def check_reset_brute_force(rng: np.random.Generator, **sizes) -> CheckResult:
+    """Closed-form reset plans vs ``brute_force_reset``; ``sizes`` as for
+    ``_reset_cases``."""
+    return _reset_brute_force(_reset_cases(rng, **sizes))
+
+
 # The gradient check draws its sign bits and builds its estimate this many
 # draws at a time.  Even, so that every slice but the last draws its bits from
 # whole 64-bit outputs and the sliced draws equal one draw of them all.
@@ -493,20 +608,23 @@ def _gradient_z_scores(
     The estimate is ``((pt*demand)*kappa)/d`` with
     ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks`` and kappa = ±1, so
     pt, the demand before its shock and pt*kappa each take two values,
-    computed once in scalar form.  Each shock array becomes its own estimate,
-    in place, ``BITS_CHUNK`` draws at a time: the slice's sign bits are drawn,
-    its base demand gathered into a scratch buffer and added, its pt*kappa
-    gathered into the same buffer and multiplied, and the slice divided by d.
-    The mean and the sample variance are then computed in the array itself
-    (the squared deviations overwrite the estimates), so no more than two
-    float64 arrays of ``n_draws`` are alive at once: a point's two shock
-    arrays.  Addition commutes, a sign flip is exact and commutes with
-    rounding, and numpy's bounded-integer draw starts each call on a fresh
-    64-bit output, so every z and the generator state after the check are
-    bit-identical to evaluating the expression with fresh arrays and one bit
-    draw per shock array.
+    computed once in scalar form.  A point's shocks are drawn into two
+    buffers of ``n_draws`` allocated once for all points, and each becomes
+    its own estimate, in place, ``BITS_CHUNK`` draws at a time: the slice's
+    sign bits are drawn, its base demand gathered into a scratch buffer and
+    added, its pt*kappa gathered into the same buffer and multiplied, and the
+    slice divided by d.  The mean and the sample variance are then computed
+    in the buffer itself (the squared deviations overwrite the estimates), so
+    no more than those two float64 arrays of ``n_draws`` are alive at once.
+    The shocks are scaled and shifted in numpy's own operations and order,
+    addition commutes, a sign flip is exact and commutes with rounding, and
+    numpy's bounded-integer draw starts each call on a fresh 64-bit output,
+    so every z and the generator state after the check are bit-identical to
+    evaluating the expression with fresh arrays and one bit draw per shock
+    array.
     """
     scratch = np.empty(min(n_draws, BITS_CHUNK))
+    uniform, normal = np.empty(n_draws), np.empty(n_draws)
     for _ in range(n_points):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(inst.p_ratio_bound, inst.p_max)
@@ -517,9 +635,15 @@ def _gradient_z_scores(
         pt = [p + kappa * d for kappa in kappas]
         base = np.array([inst.b - inst.a * x + inst.eta_plus * (r - x) for x in pt])
         signed_pt = np.array([x * kappa for x, kappa in zip(pt, kappas)])
-        shocks = [rng.uniform(-0.2, 0.2, size=n_draws), rng.normal(0.0, 0.2, size=n_draws)]
-        while shocks:
-            g = shocks.pop(0)
+        # uniform(-0.2, 0.2) and normal(0.0, 0.2) as numpy computes them,
+        # low + (high - low)*u and loc + scale*z, in the buffers.
+        rng.random(out=uniform)
+        uniform *= 0.4
+        uniform += -0.2
+        rng.standard_normal(out=normal)
+        normal *= 0.2
+        normal += 0.0
+        for g in (uniform, normal):
             for lo in range(0, n_draws, BITS_CHUNK):
                 part = g[lo : lo + BITS_CHUNK]
                 buf = scratch[: len(part)]
@@ -537,11 +661,7 @@ def _gradient_z_scores(
             g -= mean
             g *= g
             se = float(np.sqrt(np.add.reduce(g) / (n_draws - 1)) / math.sqrt(n_draws))
-            z = abs(float(mean) - target) / se
-            # Released before yielding, with the last slice's view of it, or
-            # a point's last array would outlive the next point's draws.
-            g = part = None
-            yield z
+            yield abs(float(mean) - target) / se
 
 
 def check_gradient_unbiased(
@@ -587,13 +707,72 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
     )
 
 
-def run_all(seed: int = 0) -> list[CheckResult]:
+# The checks that draw every case before evaluating any, as (draw,
+# evaluate) pairs in the order they run.
+_DRAWN_CHECKS = (
+    (_dense_cases, _dense_vs_recursion),
+    (_binary_cases, _binary_vs_linear),
+    (_foc_cases, _foc_residual),
+    (_reset_cases, _reset_brute_force),
+)
+
+
+def _monte_carlo_checks(rng: np.random.Generator) -> list[CheckResult]:
+    """The checks that follow the drawn ones, in order."""
+    return [check_gradient_unbiased(rng), check_curve_lipschitz(rng)]
+
+
+def _send_monte_carlo_checks(rng: np.random.Generator, send) -> None:
+    """The helper process's work: run ``_monte_carlo_checks`` and send their
+    results through the connection ``send``."""
+    send.send(_monte_carlo_checks(rng))
+
+
+def run_all(seed: int = 0, threads: int = 1) -> list[CheckResult]:
+    """Every check, in order, from one generator seeded with ``seed``.
+
+    The cases of the drawn checks are drawn first, in order; their
+    evaluation draws nothing, so the generator then stands where it would
+    after running them.  With ``threads`` > 1 this process evaluates the
+    dense check, then forks one helper with the generator as it stands,
+    which runs the Monte-Carlo gradient check and the Lipschitz check and
+    sends back their results while this process evaluates the other drawn
+    cases; ``threads`` = 1, or a process that may not fork (see
+    ``harness.fork_usable``), runs them all here.  The results do not depend
+    on ``threads``.
+
+    A helper that fails raises ``OSError``; on any failure the helper is
+    terminated, and it is always joined before this returns or raises.
+    """
     rng = np.random.default_rng(seed)
-    return [
-        check_dense_vs_recursion(rng),
-        check_binary_vs_linear(rng),
-        check_foc_residual(rng),
-        check_reset_brute_force(rng),
-        check_gradient_unbiased(rng),
-        check_curve_lipschitz(rng),
-    ]
+    drawn = [(evaluate, draw(rng)) for draw, evaluate in _DRAWN_CHECKS]
+    if threads < 2 or not fork_usable():
+        return [evaluate(cases) for evaluate, cases in drawn] + _monte_carlo_checks(rng)
+    # A fork stops OpenBLAS's threads, and setting their count afterwards
+    # starts them again, one spinning for about 0.1 s beside the helper: the
+    # dense check, which sets it, runs before the fork.
+    (evaluate, cases), *drawn = drawn
+    results = [evaluate(cases)]
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    with receive, send:
+        helper = fork.Process(target=_send_monte_carlo_checks, args=(rng, send))
+        helper.start()
+        try:
+            send.close()  # so that the helper's death reads as EOF
+            results += [evaluate(cases) for evaluate, cases in drawn]
+            try:
+                results += receive.recv()
+            except EOFError:  # the helper died first; its exit code says how
+                pass
+            helper.join()
+            if helper.exitcode != 0:
+                raise OSError(
+                    "validate process 1 (gradient and Lipschitz checks): "
+                    f"exited with code {helper.exitcode}"
+                )
+            return results
+        finally:
+            helper.terminate()  # a no-op once the helper has been joined
+            helper.join()
+            helper.close()

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -44,10 +47,130 @@ def test_reset_brute_force_counts_oracle_miss(monkeypatch):
     assert result.detail.startswith("5 plan mismatches")
 
 
-def test_validate_stdout_golden(capsys):
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
-    assert main(["validate", "--config", cfg]) == 0
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_validate_stdout_golden(capsys, threads):
+    assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", str(threads)]) == 0
     assert capsys.readouterr().out == VALIDATE_GOLDEN
+
+
+def _count_starts(monkeypatch, start_them=True):
+    """The processes started from now on; with ``start_them`` false they are
+    counted but not started."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        starts.append(process)
+        if start_them:
+            start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return starts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_all_does_not_depend_on_threads(monkeypatch, seed):
+    """The helper's results cross the pipe unchanged, a FAIL too: seed 1's
+    gradient check fails (|z| 3.30)."""
+    starts = _count_starts(monkeypatch)
+    alone = validate.run_all(seed, threads=1)
+    assert starts == []
+    forked = validate.run_all(seed, threads=2)
+    assert len(starts) == 1
+    assert forked == alone  # field by field
+    gradient = {r.name: r for r in forked}["gradient_unbiased"]
+    assert gradient.passed is (seed == 0)
+
+
+@pytest.mark.parametrize("reason", ["thread", "no_fork"])
+def test_run_all_alone_where_it_may_not_fork(monkeypatch, reason):
+    check = validate.check_gradient_unbiased
+    monkeypatch.setattr(
+        validate, "check_gradient_unbiased", lambda rng: check(rng, n_points=2, n_draws=1000)
+    )
+    expected = validate.run_all(0, threads=1)
+    starts = _count_starts(monkeypatch, start_them=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "thread":
+        thread.start()
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    try:
+        assert validate.run_all(0, threads=2) == expected
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join()
+    assert starts == []
+
+
+def _exit_3(rng):
+    os._exit(3)
+
+
+def _raise(rng):
+    raise RuntimeError("injected")
+
+
+@pytest.mark.parametrize("fail, code", [(_exit_3, 3), (_raise, 1)], ids=["dies", "raises"])
+def test_validate_helper_failure_exits_1(monkeypatch, capsys, fail, code):
+    parent = os.getpid()
+
+    def fail_in_helper(rng):
+        assert os.getpid() != parent, "the gradient check ran in the test process"
+        fail(rng)
+
+    monkeypatch.setattr(validate, "check_gradient_unbiased", fail_in_helper)
+    assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: validate process 1 (gradient and Lipschitz checks): "
+        f"exited with code {code}\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_run_all_failure_stops_the_helper(monkeypatch):
+    """The helper would sleep a minute: it is terminated, not waited for."""
+    monkeypatch.setattr(validate, "check_gradient_unbiased", lambda rng: time.sleep(60))
+    draw, _ = validate._DRAWN_CHECKS[0]
+    # The first drawn check is evaluated before the fork, the second after.
+    monkeypatch.setattr(validate, "_DRAWN_CHECKS", ((draw, len), (draw, _raise)))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="injected"):
+        validate.run_all(0, threads=2)
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_one_blas_thread_restores_the_thread_count():
+    threads = validate._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS from its wheel")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        with pytest.raises(RuntimeError):
+            with validate._one_blas_thread():
+                assert get() == 1
+                raise RuntimeError
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_without_a_library_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(validate, "_openblas_threads", lambda: None)
+    ran = False
+    with validate._one_blas_thread():
+        ran = True
+    assert ran
 
 
 @pytest.mark.parametrize("solver", [solve_curve, scalar_solve_curve, linear_scan_markdown_start])
