@@ -3,12 +3,12 @@
 Every command takes ``--config PATH`` plus optional dotted overrides
 (``run.seeds=50``); ``--out`` and ``--threads`` are shorthands for
 ``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
-processes of a sweep and of a large CSV write, and above 1 lets ``validate``
-run its Monte-Carlo check in one helper process; it defaults to the usable
-cores, and 1 starts no process.  The REFPRICE_SEED environment variable
-overrides ``run.base_seed`` (explicit overrides win).  Exit codes: 0 success,
-1 validation failure or an error while running (including a file that
-cannot be written), 2 usage or configuration error.
+processes of a sweep and of a large CSV write; it defaults to the usable
+cores, and 1 starts no process.  ``validate`` always runs in one process.
+The REFPRICE_SEED environment variable overrides ``run.base_seed`` (explicit
+overrides win).  Exit codes: 0 success, 1 validation failure or an error
+while running (including a file that cannot be written, or memory that
+cannot be allocated), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="worker cap for sweeps, large CSV writes and validate (overrides run.threads)",
+            help="worker cap for sweeps and large CSV writes (overrides run.threads)",
         )
         p.add_argument(
             "overrides",
@@ -149,7 +149,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     # other command needs them.
     from .validate import run_all
 
-    results = run_all(seed=cfg.run.base_seed, threads=cfg.run.threads)
+    results = run_all(seed=cfg.run.base_seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -184,6 +184,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's failed allocations among them
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -3,26 +3,21 @@
 Each check pits a fast implementation against an independent slow oracle:
 dense linear solve vs the scan's segment and the scalar O(T) recursion, the
 scan's markdown start vs linear scan, closed-form reset plans vs brute force,
-the one-point gradient estimate vs the analytic derivative, and the
-optimality-condition residual of solved curves.  The slow oracles themselves
-live here, outside the production path: the dense system, the scalar
-recursion (``solve_segment``, ``curve_from_markdown_start`` and the backward
-sweep ``scalar_solve_curve``, the solver the scan replaced), the linear scan
-and the brute-force reset.  The linear scan decides each candidate start
-from its segment's initial price alone, the value ``curve_from_markdown_start``
+and the optimality-condition residual of solved curves.  The gradient check
+tests the learner's one-point estimate in closed form: its kappa-average
+against the analytic derivative, and the mean of each shock kind against a
+bound with a stated false-alarm rate.  The slow oracles themselves live
+here, outside the production path: the dense system, the scalar recursion
+(``solve_segment``, ``curve_from_markdown_start`` and the backward sweep
+``scalar_solve_curve``, the solver the scan replaced), the linear scan and
+the brute-force reset.  The linear scan decides each candidate start from
+its segment's initial price alone, the value ``curve_from_markdown_start``
 tests, and builds no curve; it rolls a chunk of starts at once, each start's
 initial price bit-identical to ``segment_initial_price``'s.  The brute-force
-reset tests a chunk of plan lengths per numpy pass, and the gradient check
-evaluates the estimate from its two perturbed prices, drawing the shocks
-into two buffers allocated once, turning each into its own estimate in place
-and computing its mean and variance there, so that it holds no more than two
-float64 arrays of its draw count at once.
+reset tests a chunk of plan lengths per numpy pass.
 
-``run_all`` draws the cases of the four deterministic checks first, then
-evaluates them, all but the first while one forked helper runs the
-Monte-Carlo gradient check and the Lipschitz check from the generator as it
-stands; the results are those of running the checks one after another.  The
-dense check's small solves run on one OpenBLAS thread.
+``run_all`` runs the checks one after another in this process, from one
+generator.  The dense check's small solves run on one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import multiprocessing
 import os
 from array import array
 from contextlib import contextmanager
@@ -47,8 +41,7 @@ from .curve import (
     harmonic_range,
     solve_curve,
 )
-from .harness import fork_usable
-from .model import Instance, PolicyParams, true_policy_params
+from .model import Instance, NoiseSpec, PolicyParams, expected_demand, true_policy_params
 from .policies import RESET_TOL, reset_ref
 
 FOC_TOL = 1e-8
@@ -423,33 +416,27 @@ def _openblas_threads():
     return None
 
 
-def _dense_cases(rng: np.random.Generator, n_cases: int = 50) -> list[FocSystem]:
-    cases = []
-    for _ in range(n_cases):
-        p_max = rng.uniform(0.6, 2.0)
-        theta = random_theta(rng, p_max)
-        horizon = int(rng.integers(2, 201))
-        markdown_start = int(rng.integers(1, horizon + 1))
-        r_md = rng.uniform(0.0, p_max)
-        cases.append(
-            FocSystem(markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md)
-        )
-    return cases
-
-
-def _dense_vs_recursion(cases: list[FocSystem]) -> CheckResult:
+def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
+    """Dense solve of random segments vs the scalar recursion and the scan."""
     worst = 0.0
     with _one_blas_thread():
-        for system in cases:
+        for _ in range(n_cases):
+            p_max = rng.uniform(0.6, 2.0)
+            theta = random_theta(rng, p_max)
+            horizon = int(rng.integers(2, 201))
+            markdown_start = int(rng.integers(1, horizon + 1))
+            r_md = rng.uniform(0.0, p_max)
+            system = FocSystem(
+                markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md
+            )
             if system.dominance_margin() <= 0.0:
                 continue
             dense = dense_solve(system)
-            theta, r_md = system.theta, system.r_md
-            scalar, _ = solve_segment(theta, r_md, system.markdown_start, system.horizon)
+            scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
             # Started at markdown_start under a ceiling above every price, the
             # scan's curve is the segment alone.
             ceiling = 2.0 * max(r_md, dense.max())
-            scan = solve_curve(theta, r_md, system.markdown_start, system.horizon, ceiling)
+            scan = solve_curve(theta, r_md, markdown_start, horizon, ceiling)
             for fast in (scalar, scan.prices):
                 worst = max(worst, float(np.max(np.abs(dense - fast))))
     return CheckResult(
@@ -457,67 +444,39 @@ def _dense_vs_recursion(cases: list[FocSystem]) -> CheckResult:
     )
 
 
-def check_dense_vs_recursion(rng: np.random.Generator, **sizes) -> CheckResult:
-    """Dense solve of random segments vs the scalar recursion and the scan;
-    ``sizes`` as for ``_dense_cases``."""
-    return _dense_vs_recursion(_dense_cases(rng, **sizes))
-
-
-def _binary_cases(
+def check_binary_vs_linear(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
-) -> list[tuple[Instance, int, float]]:
-    cases = []
+) -> CheckResult:
+    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
+    scan, on random symmetric and asymmetric instances."""
+    mismatches = 0
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
-        horizon = int(rng.integers(5, max_T + 1))
-        cases.append((inst, horizon, rng.uniform(0.0, inst.p_max)))
-    return cases
-
-
-def _binary_vs_linear(cases: list[tuple[Instance, int, float]]) -> CheckResult:
-    mismatches = 0
-    for inst, horizon, r_start in cases:
         theta = true_policy_params(inst)
+        horizon = int(rng.integers(5, max_T + 1))
+        r_start = rng.uniform(0.0, inst.p_max)
         fast = solve_curve(theta, r_start, 1, horizon, inst.p_max)
         scan = linear_scan_markdown_start(theta, r_start, 1, horizon, inst.p_max)
         if fast.markdown_start != scan:
             mismatches += 1
     return CheckResult(
-        "binary_vs_linear_scan", mismatches == 0, f"{mismatches} mismatches in {len(cases)} cases"
+        "binary_vs_linear_scan", mismatches == 0, f"{mismatches} mismatches in {n_cases} cases"
     )
 
 
-def check_binary_vs_linear(rng: np.random.Generator, **sizes) -> CheckResult:
-    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
-    scan, on random symmetric and asymmetric instances; ``sizes`` as for
-    ``_binary_cases``."""
-    return _binary_vs_linear(_binary_cases(rng, **sizes))
-
-
-def _foc_cases(
+def check_foc_residual(
     rng: np.random.Generator, horizons=(100, 1000, 10000), n_cases: int = 5
-) -> list[tuple[Instance, int, float]]:
-    cases = []
+) -> CheckResult:
+    """Optimality-condition residual of solved curves."""
+    worst = 0.0
     for horizon in horizons:
         for _ in range(n_cases):
             inst = random_instance(rng)
-            cases.append((inst, horizon, rng.uniform(0.0, inst.p_max)))
-    return cases
-
-
-def _foc_residual(cases: list[tuple[Instance, int, float]]) -> CheckResult:
-    worst = 0.0
-    for inst, horizon, r_start in cases:
-        theta = true_policy_params(inst)
-        curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
-        worst = max(worst, foc_residual(curve, theta))
+            theta = true_policy_params(inst)
+            r_start = rng.uniform(0.0, inst.p_max)
+            curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
+            worst = max(worst, foc_residual(curve, theta))
     return CheckResult("foc_residual", worst <= FOC_TOL, f"max residual {worst:.3e}")
-
-
-def check_foc_residual(rng: np.random.Generator, **sizes) -> CheckResult:
-    """Optimality-condition residual of solved curves; ``sizes`` as for
-    ``_foc_cases``."""
-    return _foc_residual(_foc_cases(rng, **sizes))
 
 
 # Values of N that ``brute_force_reset`` tests per numpy pass.
@@ -550,22 +509,15 @@ def brute_force_reset(t: int, r_t: float, r_target: float, p_max: float, n_max: 
     return None
 
 
-def _reset_cases(
-    rng: np.random.Generator, n_cases: int = 1000
-) -> list[tuple[float, int, float, float]]:
-    cases = []
+def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> CheckResult:
+    """Closed-form reset plans vs ``brute_force_reset``."""
+    bad = 0
+    worst_err = 0.0
     for _ in range(n_cases):
         p_max = rng.uniform(0.5, 2.0)
         t = int(rng.integers(1, 500))
         r_t = rng.uniform(0.0, p_max)
-        cases.append((p_max, t, r_t, rng.uniform(0.05 * p_max, 0.95 * p_max)))
-    return cases
-
-
-def _reset_brute_force(cases: list[tuple[float, int, float, float]]) -> CheckResult:
-    bad = 0
-    worst_err = 0.0
-    for p_max, t, r_t, r_target in cases:
+        r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
         plan = reset_ref(t, r_t, r_target, p_max)
         oracle_n = brute_force_reset(t, r_t, r_target, p_max)
         # An oracle miss counts as a mismatch; test it before using oracle_n.
@@ -587,90 +539,70 @@ def _reset_brute_force(cases: list[tuple[float, int, float, float]]) -> CheckRes
     )
 
 
-def check_reset_brute_force(rng: np.random.Generator, **sizes) -> CheckResult:
-    """Closed-form reset plans vs ``brute_force_reset``; ``sizes`` as for
-    ``_reset_cases``."""
-    return _reset_brute_force(_reset_cases(rng, **sizes))
+# The gradient check's limits: the kappa-average's error relative to
+# b*p_max/d, and the false-alarm rate of each shock-mean comparison.
+GRADIENT_TOL = 1e-12
+SHOCK_FALSE_ALARM = 1e-9
 
 
-# The gradient check draws its sign bits and builds its estimate this many
-# draws at a time.  Even, so that every slice but the last draws its bits from
-# whole 64-bit outputs and the sliced draws equal one draw of them all.
-BITS_CHUNK = 2**16
+def one_point_estimate(price: float, demand: float, kappa: float, d: float) -> float:
+    """The learner's gradient estimate from one round posted at
+    ``price`` = p + kappa*d, as ``LearnGreedyState.run`` computes it."""
+    return price * demand * kappa / d
 
 
-def _gradient_z_scores(
-    rng: np.random.Generator, n_points: int, n_draws: int
-) -> Iterator[float]:
-    """|z| of the Monte-Carlo mean of the one-point gradient estimate against
-    the analytic revenue derivative, for each point and shock kind in turn.
+def shock_mean_p_value(noise: NoiseSpec, mean: float, n: int) -> float:
+    """Bound on the probability that the mean of ``n`` shocks of ``noise``
+    lies at least |mean| from 0 if the shocks have mean 0: Hoeffding's for
+    bounded-uniform shocks, the normal tail for gaussian ones."""
+    if noise.kind == "bounded_uniform":
+        return min(1.0, 2.0 * math.exp(-n * mean**2 / (2.0 * noise.half_width**2)))
+    return math.erfc(abs(mean) * math.sqrt(n / 2.0) / noise.std)
 
-    The estimate is ``((pt*demand)*kappa)/d`` with
-    ``demand = ((b - a*pt) + eta_plus*(r - pt)) + shocks`` and kappa = ±1, so
-    pt, the demand before its shock and pt*kappa each take two values,
-    computed once in scalar form.  A point's shocks are drawn into two
-    buffers of ``n_draws`` allocated once for all points, and each becomes
-    its own estimate, in place, ``BITS_CHUNK`` draws at a time: the slice's
-    sign bits are drawn, its base demand gathered into a scratch buffer and
-    added, its pt*kappa gathered into the same buffer and multiplied, and the
-    slice divided by d.  The mean and the sample variance are then computed
-    in the buffer itself (the squared deviations overwrite the estimates), so
-    no more than those two float64 arrays of ``n_draws`` are alive at once.
-    The shocks are scaled and shifted in numpy's own operations and order,
-    addition commutes, a sign flip is exact and commutes with rounding, and
-    numpy's bounded-integer draw starts each call on a fresh 64-bit output,
-    so every z and the generator state after the check are bit-identical to
-    evaluating the expression with fresh arrays and one bit draw per shock
-    array.
+
+def check_gradient_unbiased(
+    rng: np.random.Generator, n_points: int = 10, n_shocks: int = 10**5
+) -> CheckResult:
+    """The one-point gradient estimate is unbiased for the revenue
+    derivative b + eta_plus*r - 2*(a + eta_plus)*p, in two exact parts.
+
+    Demand is linear in the shock and E_kappa[(p + kappa*d)*kappa/d] = 1, so
+    the estimate's mean is its kappa-average at shock 0 plus the shock mean.
+    (i) At ``n_points`` random points (p - d, p + d both at most r), the
+    kappa-average at shock 0 must equal the derivative: revenue is quadratic
+    in the price there, so the central difference is exact but for rounding.
+    Its error is measured against b*p_max/d, the size of the terms, not the
+    derivative, which can be near 0, and must stay within ``GRADIENT_TOL``.
+    (ii) For bounded-uniform shocks of half-width 0.2 and gaussian ones of
+    std 0.2, the mean of ``n_shocks`` draws from ``NoiseSpec.draw_array``
+    must have a ``shock_mean_p_value`` of at least ``SHOCK_FALSE_ALARM``:
+    at 10^5 draws, |mean| up to 4.1e-3 and 3.9e-3.  The check fails on
+    correct code with probability at most 2e-9.  The Monte-Carlo check it
+    replaced (10 points, 10^6 draws per noise kind, |z| at most 3) failed
+    ``run_all`` at 12 of the 200 base seeds 0-199.
     """
-    scratch = np.empty(min(n_draws, BITS_CHUNK))
-    uniform, normal = np.empty(n_draws), np.empty(n_draws)
+    worst = 0.0
     for _ in range(n_points):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         r = rng.uniform(inst.p_ratio_bound, inst.p_max)
         d = 0.5 * (r - inst.p_ratio_bound)
         p = rng.uniform(d, r - d)
         target = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p
-        kappas = (-1.0, 1.0)  # indexed by the drawn bit
-        pt = [p + kappa * d for kappa in kappas]
-        base = np.array([inst.b - inst.a * x + inst.eta_plus * (r - x) for x in pt])
-        signed_pt = np.array([x * kappa for x, kappa in zip(pt, kappas)])
-        # uniform(-0.2, 0.2) and normal(0.0, 0.2) as numpy computes them,
-        # low + (high - low)*u and loc + scale*z, in the buffers.
-        rng.random(out=uniform)
-        uniform *= 0.4
-        uniform += -0.2
-        rng.standard_normal(out=normal)
-        normal *= 0.2
-        normal += 0.0
-        for g in (uniform, normal):
-            for lo in range(0, n_draws, BITS_CHUNK):
-                part = g[lo : lo + BITS_CHUNK]
-                buf = scratch[: len(part)]
-                bits = rng.integers(0, 2, size=len(part))
-                # The bits are 0 or 1, so "clip" changes no index; "raise"
-                # would gather through a temporary copy.
-                np.take(base, bits, out=buf, mode="clip")
-                part += buf
-                np.take(signed_pt, bits, out=buf, mode="clip")
-                part *= buf
-                part /= d
-                del bits  # before the next slice's are drawn
-            # np.mean and np.std(ddof=1), bit for bit, in g's own memory.
-            mean = np.add.reduce(g) / n_draws
-            g -= mean
-            g *= g
-            se = float(np.sqrt(np.add.reduce(g) / (n_draws - 1)) / math.sqrt(n_draws))
-            yield abs(float(mean) - target) / se
-
-
-def check_gradient_unbiased(
-    rng: np.random.Generator, n_points: int = 10, n_draws: int = 10**6
-) -> CheckResult:
-    """Monte-Carlo mean of the one-point gradient estimate vs the analytic
-    revenue derivative, under bounded and gaussian shocks."""
-    worst_z = max([0.0, *_gradient_z_scores(rng, n_points, n_draws)])
-    return CheckResult("gradient_unbiased", worst_z <= 3.0, f"max |z| {worst_z:.2f} (limit 3)")
+        average = 0.5 * sum(
+            one_point_estimate(price, expected_demand(inst, price, r), kappa, d)
+            for kappa, price in ((-1.0, p - d), (1.0, p + d))
+        )
+        worst = max(worst, abs(average - target) / (inst.b * inst.p_max / d))
+    p_value = min(
+        shock_mean_p_value(noise, float(np.mean(noise.draw_array(rng, n_shocks))), n_shocks)
+        for noise in (NoiseSpec.bounded_uniform(0.2), NoiseSpec.gaussian(0.2))
+    )
+    return CheckResult(
+        "gradient_unbiased",
+        worst <= GRADIENT_TOL and p_value >= SHOCK_FALSE_ALARM,
+        f"max kappa-average error {worst:.1e} x b*p_max/d (limit {GRADIENT_TOL:g}), "
+        f"min shock-mean p-value {p_value:.2g} (limit {SHOCK_FALSE_ALARM:g})",
+    )
 
 
 def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
@@ -707,72 +639,15 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
     )
 
 
-# The checks that draw every case before evaluating any, as (draw,
-# evaluate) pairs in the order they run.
-_DRAWN_CHECKS = (
-    (_dense_cases, _dense_vs_recursion),
-    (_binary_cases, _binary_vs_linear),
-    (_foc_cases, _foc_residual),
-    (_reset_cases, _reset_brute_force),
-)
-
-
-def _monte_carlo_checks(rng: np.random.Generator) -> list[CheckResult]:
-    """The checks that follow the drawn ones, in order."""
-    return [check_gradient_unbiased(rng), check_curve_lipschitz(rng)]
-
-
-def _send_monte_carlo_checks(rng: np.random.Generator, send) -> None:
-    """The helper process's work: run ``_monte_carlo_checks`` and send their
-    results through the connection ``send``."""
-    send.send(_monte_carlo_checks(rng))
-
-
-def run_all(seed: int = 0, threads: int = 1) -> list[CheckResult]:
-    """Every check, in order, from one generator seeded with ``seed``.
-
-    The cases of the drawn checks are drawn first, in order; their
-    evaluation draws nothing, so the generator then stands where it would
-    after running them.  With ``threads`` > 1 this process evaluates the
-    dense check, then forks one helper with the generator as it stands,
-    which runs the Monte-Carlo gradient check and the Lipschitz check and
-    sends back their results while this process evaluates the other drawn
-    cases; ``threads`` = 1, or a process that may not fork (see
-    ``harness.fork_usable``), runs them all here.  The results do not depend
-    on ``threads``.
-
-    A helper that fails raises ``OSError``; on any failure the helper is
-    terminated, and it is always joined before this returns or raises.
-    """
+def run_all(seed: int = 0) -> list[CheckResult]:
+    """Every check, in order, in this process, from one generator seeded
+    with ``seed``."""
     rng = np.random.default_rng(seed)
-    drawn = [(evaluate, draw(rng)) for draw, evaluate in _DRAWN_CHECKS]
-    if threads < 2 or not fork_usable():
-        return [evaluate(cases) for evaluate, cases in drawn] + _monte_carlo_checks(rng)
-    # A fork stops OpenBLAS's threads, and setting their count afterwards
-    # starts them again, one spinning for about 0.1 s beside the helper: the
-    # dense check, which sets it, runs before the fork.
-    (evaluate, cases), *drawn = drawn
-    results = [evaluate(cases)]
-    fork = multiprocessing.get_context("fork")
-    receive, send = fork.Pipe(duplex=False)
-    with receive, send:
-        helper = fork.Process(target=_send_monte_carlo_checks, args=(rng, send))
-        helper.start()
-        try:
-            send.close()  # so that the helper's death reads as EOF
-            results += [evaluate(cases) for evaluate, cases in drawn]
-            try:
-                results += receive.recv()
-            except EOFError:  # the helper died first; its exit code says how
-                pass
-            helper.join()
-            if helper.exitcode != 0:
-                raise OSError(
-                    "validate process 1 (gradient and Lipschitz checks): "
-                    f"exited with code {helper.exitcode}"
-                )
-            return results
-        finally:
-            helper.terminate()  # a no-op once the helper has been joined
-            helper.join()
-            helper.close()
+    return [
+        check_dense_vs_recursion(rng),
+        check_binary_vs_linear(rng),
+        check_foc_residual(rng),
+        check_reset_brute_force(rng),
+        check_gradient_unbiased(rng),
+        check_curve_lipschitz(rng),
+    ]

@@ -1,4 +1,5 @@
-"""Round-by-round oracles for the simulator and the exploration kernel.
+"""Round-by-round oracles for the simulator and the exploration kernel, and
+the Monte-Carlo oracle of the gradient estimate.
 
 ``post`` posts one round into a ``SimEnv`` the scalar way: ``expected_demand``
 with its domain checks, then one ``NoiseSpec.draw``.  ``BlockLearner`` is
@@ -6,15 +7,22 @@ with its domain checks, then one ``NoiseSpec.draw``.  ``BlockLearner`` is
 price per block, and ``run_blocks`` is the loop that drove it, with every
 round posted through ``post``.  ``SimEnv.post_block`` and
 ``LearnGreedyState.run`` must match them bit for bit.
+
+``gradient_z_scores`` measures the one-point gradient estimate's bias by
+Monte Carlo, the statistic of acceptance criterion c07.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from refprice.model import expected_demand
 from refprice.policies import RESET_TOL, LearnGreedyState, reset_ref
+from refprice.validate import random_instance
 
 
 def post(env, price: float) -> float:
@@ -64,3 +72,28 @@ def run_blocks(learner: BlockLearner, env) -> None:
     while learner.s <= learner.budget and env.t <= env.T:
         block = learner.next_block(env.t, env.r)[: env.T - env.t + 1]
         learner.observe(env.t, [post(env, p) for p in block])
+
+
+def gradient_z_scores(rng, n_points, n_draws):
+    """|z| of the Monte-Carlo mean of the one-point gradient estimate against
+    the analytic revenue derivative, for each random point and shock kind
+    (uniform on [-0.2, 0.2], gaussian with std 0.2) in turn, from
+    ``n_draws`` shocks and signs each."""
+    scores = []
+    for _ in range(n_points):
+        inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
+        r = rng.uniform(inst.p_ratio_bound, inst.p_max)
+        d = 0.5 * (r - inst.p_ratio_bound)
+        p = rng.uniform(d, r - d)
+        target = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p
+        for shocks in (
+            rng.uniform(-0.2, 0.2, size=n_draws),
+            rng.normal(0.0, 0.2, size=n_draws),
+        ):
+            kappa = rng.integers(0, 2, size=n_draws) * 2.0 - 1.0
+            pt = p + kappa * d
+            demand = inst.b - inst.a * pt + inst.eta_plus * (r - pt) + shocks
+            g = pt * demand * kappa / d
+            se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
+            scores.append(abs(float(np.mean(g)) - target) / se)
+    return scores

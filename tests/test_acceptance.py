@@ -29,10 +29,11 @@ from refprice.validate import (
     check_binary_vs_linear,
     check_dense_vs_recursion,
     check_foc_residual,
-    check_gradient_unbiased,
     check_reset_brute_force,
     random_instance,
 )
+
+from oracles import gradient_z_scores
 
 # Reference instance for the fixed-price suboptimality construction.
 INST_GAP = Instance(a=1.0, b=2.0, eta_plus=0.5, eta_minus=0.5, p_max=4 / 3, p_ratio_bound=1.0)
@@ -133,9 +134,9 @@ def test_c06_markdown_invariant():
 
 
 def test_c07_gradient_unbiasedness():
-    rng = np.random.default_rng(707)
-    res = check_gradient_unbiased(rng, n_points=10, n_draws=10**6)
-    report(7, res.passed, res.detail)
+    # Monte Carlo, 3 standard errors: 10 points, 10^6 draws per shock kind.
+    worst_z = max(gradient_z_scores(np.random.default_rng(707), 10, 10**6))
+    report(7, worst_z <= 3.0, f"max |z| {worst_z:.2f} (limit 3)")
 
 
 @pytest.mark.slow

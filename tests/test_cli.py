@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from refprice import policies
+from refprice import cli, policies
 from refprice.cli import main
 from refprice.config import (
     SEED_ENV_VAR,
@@ -306,6 +306,28 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     path = os.path.join(CONFIGS, "default.yaml")
     assert main(["solve", "--config", path, "--out", str(out), "run.T=50"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 7.45 GiB", "error: Unable to allocate 7.45 GiB\n"),
+        ("", "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, message, line):
+    """A failed allocation (numpy's ``_ArrayMemoryError`` is a MemoryError)
+    prints one error line and no traceback."""
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve_curve", fail)
+    path = os.path.join(CONFIGS, "default.yaml")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o10"), "run.T=50"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line)
 
 
 def test_reset_plan_towards_a_target_near_p_max_is_cut_at_the_horizon(tmp_path):

@@ -1,22 +1,18 @@
 import math
 import multiprocessing
 import os
-import threading
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refprice import PolicyParams, SolverError, solve_curve, true_policy_params
+from refprice import NoiseSpec, PolicyParams, SolverError, solve_curve, true_policy_params
 from refprice.cli import main
 from refprice.curve import FEASIBILITY_TOL
 from refprice.policies import RESET_TOL
 from refprice import validate
 from refprice.validate import (
-    _gradient_z_scores,
     brute_force_reset,
     check_gradient_unbiased,
     curve_from_markdown_start,
@@ -26,6 +22,7 @@ from refprice.validate import (
     random_theta,
     scalar_solve_curve,
     segment_initial_price,
+    shock_mean_p_value,
 )
 
 # `refprice validate` on the shipped default config (base seed 0).
@@ -34,8 +31,8 @@ PASS dense_vs_recursion: max abs diff 4.663e-15
 PASS binary_vs_linear_scan: 0 mismatches in 100 cases
 PASS foc_residual: max residual 2.365e-14
 PASS reset_brute_force: 0 plan mismatches, max target error 1.656e-13
-PASS gradient_unbiased: max |z| 1.93 (limit 3)
-PASS curve_lipschitz_logged: 0 bound violations in 50 cases (worst ratio 0.07); informational
+PASS gradient_unbiased: max kappa-average error 3.6e-17 x b*p_max/d (limit 1e-12), min shock-mean p-value 0.72 (limit 1e-09)
+PASS curve_lipschitz_logged: 0 bound violations in 50 cases (worst ratio 0.08); informational
 all checks passed
 """
 
@@ -50,102 +47,61 @@ def test_reset_brute_force_counts_oracle_miss(monkeypatch):
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
 
 
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Starting a process or forking raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_validate_stdout_golden(capsys, threads):
+def test_validate_stdout_golden(capsys, no_processes, threads):
     assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", str(threads)]) == 0
     assert capsys.readouterr().out == VALIDATE_GOLDEN
 
 
-def _count_starts(monkeypatch, start_them=True):
-    """The processes started from now on; with ``start_them`` false they are
-    counted but not started."""
-    starts = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(process):
-        starts.append(process)
-        if start_them:
-            start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
-    return starts
+def test_run_all_starts_no_process(no_processes):
+    assert all(r.passed for r in validate.run_all(0))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_run_all_does_not_depend_on_threads(monkeypatch, seed):
-    """The helper's results cross the pipe unchanged, a FAIL too: seed 1's
-    gradient check fails (|z| 3.30)."""
-    starts = _count_starts(monkeypatch)
-    alone = validate.run_all(seed, threads=1)
-    assert starts == []
-    forked = validate.run_all(seed, threads=2)
-    assert len(starts) == 1
-    assert forked == alone  # field by field
-    gradient = {r.name: r for r in forked}["gradient_unbiased"]
-    assert gradient.passed is (seed == 0)
+def _without_kappa(price, demand, kappa, d):
+    return price * demand / d
 
 
-@pytest.mark.parametrize("reason", ["thread", "no_fork"])
-def test_run_all_alone_where_it_may_not_fork(monkeypatch, reason):
-    check = validate.check_gradient_unbiased
-    monkeypatch.setattr(
-        validate, "check_gradient_unbiased", lambda rng: check(rng, n_points=2, n_draws=1000)
-    )
-    expected = validate.run_all(0, threads=1)
-    starts = _count_starts(monkeypatch, start_them=False)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if reason == "thread":
-        thread.start()
-    else:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    try:
-        assert validate.run_all(0, threads=2) == expected
-    finally:
-        stop.set()
-        if reason == "thread":
-            thread.join()
-    assert starts == []
+def _over_2d(price, demand, kappa, d):
+    return price * demand * kappa / (2.0 * d)
 
 
-def _exit_3(rng):
-    os._exit(3)
+@pytest.mark.parametrize("estimate", [_without_kappa, _over_2d])
+def test_gradient_check_fails_a_wrong_estimator(monkeypatch, estimate):
+    assert check_gradient_unbiased(np.random.default_rng(0)).passed
+    monkeypatch.setattr(validate, "one_point_estimate", estimate)
+    assert not check_gradient_unbiased(np.random.default_rng(0)).passed
 
 
-def _raise(rng):
-    raise RuntimeError("injected")
+@pytest.mark.parametrize("kind", ["bounded_uniform", "gaussian"])
+def test_gradient_check_fails_a_shock_with_nonzero_mean(monkeypatch, kind):
+    draw_array = NoiseSpec.draw_array
+
+    def shifted(noise, rng, n):
+        shocks = draw_array(noise, rng, n)
+        return shocks + 0.01 if noise.kind == kind else shocks
+
+    monkeypatch.setattr(NoiseSpec, "draw_array", shifted)
+    assert not check_gradient_unbiased(np.random.default_rng(0)).passed
 
 
-@pytest.mark.parametrize("fail, code", [(_exit_3, 3), (_raise, 1)], ids=["dies", "raises"])
-def test_validate_helper_failure_exits_1(monkeypatch, capsys, fail, code):
-    parent = os.getpid()
-
-    def fail_in_helper(rng):
-        assert os.getpid() != parent, "the gradient check ran in the test process"
-        fail(rng)
-
-    monkeypatch.setattr(validate, "check_gradient_unbiased", fail_in_helper)
-    assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "error: validate process 1 (gradient and Lipschitz checks): "
-        f"exited with code {code}\n"
-    )
-    assert multiprocessing.active_children() == []
-
-
-def test_run_all_failure_stops_the_helper(monkeypatch):
-    """The helper would sleep a minute: it is terminated, not waited for."""
-    monkeypatch.setattr(validate, "check_gradient_unbiased", lambda rng: time.sleep(60))
-    draw, _ = validate._DRAWN_CHECKS[0]
-    # The first drawn check is evaluated before the fork, the second after.
-    monkeypatch.setattr(validate, "_DRAWN_CHECKS", ((draw, len), (draw, _raise)))
-    t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="injected"):
-        validate.run_all(0, threads=2)
-    assert time.perf_counter() - t0 < 30
-    assert multiprocessing.active_children() == []
+def test_shock_mean_bounds_at_the_false_alarm_rate():
+    """The bounds the gradient check's docstring states for 10^5 shocks."""
+    n, rate = 10**5, validate.SHOCK_FALSE_ALARM
+    uniform, gaussian = NoiseSpec.bounded_uniform(0.2), NoiseSpec.gaussian(0.2)
+    assert shock_mean_p_value(uniform, 4.2e-3, n) < rate < shock_mean_p_value(uniform, -4.1e-3, n)
+    assert shock_mean_p_value(gaussian, -3.9e-3, n) < rate < shock_mean_p_value(gaussian, 3.8e-3, n)
+    assert shock_mean_p_value(uniform, 0.0, n) == shock_mean_p_value(gaussian, 0.0, n) == 1.0
 
 
 def test_one_blas_thread_restores_the_thread_count():
@@ -242,61 +198,6 @@ def test_linear_scan_matches_curve_building_scan(
             linear_scan_markdown_start(*args)
         return
     assert linear_scan_markdown_start(*args) == expected
-
-
-def allocating_gradient_z_scores(rng, n_points, n_draws):
-    """Reference for _gradient_z_scores: the same draws, with a fresh array
-    for every step of the estimate."""
-    scores = []
-    for _ in range(n_points):
-        inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
-        r = rng.uniform(inst.p_ratio_bound, inst.p_max)
-        d = 0.5 * (r - inst.p_ratio_bound)
-        p = rng.uniform(d, r - d)
-        target = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p
-        for shocks in (
-            rng.uniform(-0.2, 0.2, size=n_draws),
-            rng.normal(0.0, 0.2, size=n_draws),
-        ):
-            kappa = rng.integers(0, 2, size=n_draws) * 2.0 - 1.0
-            pt = p + kappa * d
-            demand = inst.b - inst.a * pt + inst.eta_plus * (r - pt) + shocks
-            g = pt * demand * kappa / d
-            se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
-            scores.append(abs(float(np.mean(g)) - target) / se)
-    return scores
-
-
-@pytest.mark.parametrize("seed", [0, 1, 707, 2024])
-def test_gradient_z_bit_identical_to_allocating_expression(seed):
-    # Sizes on both sides of the slice boundaries: an odd last slice draws
-    # half a 64-bit output, as one draw of all the bits does.
-    assert validate.BITS_CHUNK % 2 == 0
-    chunk = validate.BITS_CHUNK
-    for n_draws in (3, 1001, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = allocating_gradient_z_scores(ref_rng, 3, n_draws)
-        got = list(_gradient_z_scores(rng, 3, n_draws))
-        assert [z.hex() for z in got] == [z.hex() for z in expected], n_draws
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, n_draws
-    result = check_gradient_unbiased(np.random.default_rng(seed), n_points=3, n_draws=10**4)
-    expected = allocating_gradient_z_scores(np.random.default_rng(seed), 3, 10**4)
-    assert result.detail == f"max |z| {max([0.0, *expected]):.2f} (limit 3)"
-
-
-def test_gradient_z_scores_hold_at_most_three_arrays():
-    # Two float64 arrays of n_draws (a point's two shock arrays; the mean and
-    # variance are computed in place) plus the per-slice bits and scratch
-    # buffer.
-    n_draws = 2 * 10**5
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        list(_gradient_z_scores(rng, 2, n_draws))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * n_draws
 
 
 def scalar_linear_scan(theta, r_start, t_start, horizon, p_max):
