@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -47,15 +48,16 @@ def test_reset_brute_force_counts_oracle_miss(monkeypatch):
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+
 @pytest.fixture
 def no_processes(monkeypatch):
     """Starting a process or forking raises."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse)
+    monkeypatch.setattr(os, "fork", _refuse)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -66,6 +68,28 @@ def test_validate_stdout_golden(capsys, no_processes, threads):
 
 def test_run_all_starts_no_process(no_processes):
     assert all(r.passed for r in validate.run_all(0))
+
+
+@pytest.mark.parametrize("reason", ["thread", "no_fork"])
+def test_run_all_alone_where_it_may_not_fork(monkeypatch, reason):
+    """With another thread running, or with fork not on offer, run_all gives
+    the same results and still starts no process."""
+    expected = validate.run_all(0)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "thread":
+        thread.start()
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    try:
+        with monkeypatch.context() as refusing:
+            refusing.setattr(multiprocessing.process.BaseProcess, "start", _refuse)
+            refusing.setattr(os, "fork", _refuse)
+            assert validate.run_all(0) == expected
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join()
 
 
 def _without_kappa(price, demand, kappa, d):
