@@ -3,68 +3,55 @@
 Simulation and optimization tools for a demand model where customers compare
 the posted price to the average of all past prices: closed-form markdown
 curves, baseline and learning pricing policies, and a seeded regret harness.
+
+Importing the package loads no submodule and so no numpy: each public name
+and each submodule is loaded on first use (PEP 562).  That lets
+``refprice.cli`` set its BLAS default before numpy starts.
 """
 
-from .curve import (
-    PriceCurve,
-    SolverError,
-    foc_residual,
-    solve_curve,
-)
-from .harness import (
-    EpisodeRecord,
-    RegretRecord,
-    SimEnv,
-    clairvoyant_value,
-    regret_sweep,
-    run_episode,
-)
-from .model import (
-    DomainError,
-    Instance,
-    NoiseSpec,
-    PolicyParams,
-    expected_demand,
-    greedy_price,
-    revenue,
-    sample_demand,
-    true_policy_params,
-)
-from .policies import (
-    LearnGreedyState,
-    LearnThenEarn,
-    make_policy,
-    optimal_fixed_price,
-    reset_ref,
-    two_price_policy,
-)
+import importlib
 
-__all__ = [
-    "DomainError",
-    "EpisodeRecord",
-    "Instance",
-    "LearnGreedyState",
-    "LearnThenEarn",
-    "NoiseSpec",
-    "PolicyParams",
-    "PriceCurve",
-    "RegretRecord",
-    "SimEnv",
-    "SolverError",
-    "clairvoyant_value",
-    "expected_demand",
-    "foc_residual",
-    "greedy_price",
-    "make_policy",
-    "optimal_fixed_price",
-    "regret_sweep",
-    "reset_ref",
-    "revenue",
-    "run_episode",
-    "sample_demand",
-    "solve_curve",
-    "true_policy_params",
-    "two_price_policy",
-]
+_SUBMODULES = ("cli", "config", "curve", "harness", "model", "policies", "validate")
+
+# The submodule that defines each public name.
+_ORIGIN = {
+    "DomainError": "model",
+    "EpisodeRecord": "harness",
+    "Instance": "model",
+    "LearnGreedyState": "policies",
+    "LearnThenEarn": "policies",
+    "NoiseSpec": "model",
+    "PolicyParams": "model",
+    "PriceCurve": "curve",
+    "RegretRecord": "harness",
+    "SimEnv": "harness",
+    "SolverError": "curve",
+    "clairvoyant_value": "harness",
+    "expected_demand": "model",
+    "foc_residual": "curve",
+    "greedy_price": "model",
+    "make_policy": "policies",
+    "optimal_fixed_price": "policies",
+    "regret_sweep": "harness",
+    "reset_ref": "policies",
+    "revenue": "model",
+    "run_episode": "harness",
+    "sample_demand": "model",
+    "solve_curve": "curve",
+    "true_policy_params": "model",
+    "two_price_policy": "policies",
+}
+
+__all__ = sorted(_ORIGIN)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value

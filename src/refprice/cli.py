@@ -5,6 +5,7 @@ Every command takes ``--config PATH`` plus optional dotted overrides
 ``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
 processes of a sweep and of a large CSV write; it defaults to the usable
 cores, and 1 starts no process.  ``validate`` always runs in one process.
+CLI runs use one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
 The REFPRICE_SEED environment variable overrides ``run.base_seed`` (explicit
 overrides win).  Exit codes: 0 success, 1 validation failure or an error
 while running (including a file that cannot be written, or memory that
@@ -16,6 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# Before numpy loads: no command's BLAS work gains from a second, spinning thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .curve import SolverError, solve_curve

@@ -141,6 +141,10 @@ def solve_curve(
     if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
         raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
     c1, c2 = theta.c1, theta.c2
+    # Allocated first, so that a horizon too large for memory fails before the
+    # O(T) passes; np.empty touches no page.
+    n = horizon - t_start + 1
+    prices, refs = np.empty(n), np.empty(n)
 
     # Pass 1: chunks [lo, hi) of dominant starts, highest first, with y_hi.
     chunks = []
@@ -178,8 +182,7 @@ def solve_curve(
             raise SolverError("no feasible markdown start")
 
     # Pass 3: the plateau, then the segment rolled forward from x_m.
-    n, i0 = horizon - t_start + 1, start - t_start
-    prices, refs = np.empty(n), np.empty(n)
+    i0 = start - t_start
     prices[:i0] = p_max
     t = np.arange(t_start, start + 1, dtype=float)
     refs[: i0 + 1] = (base + (t - t_start) * p_max) / t

@@ -48,10 +48,11 @@ COPY_BYTES = 1 << 16
 class SimEnv:
     """One pricing episode: posts prices, draws shocks, tracks the reference.
 
-    The reference ``r`` = ``total / count`` follows the running-average
-    dynamics, kept as an exact (``total``, ``count``) pair; ``t`` is the
-    next round.  ``post_block`` posts a run of rounds; a policy may post
-    rounds itself with the same arithmetic and draws.  Every round's price,
+    The reference ``r`` = ``total / t`` follows the running-average
+    dynamics: ``total`` is the exact running sum of r1 and the prices
+    posted, and ``t`` is the next round.  ``post_block`` posts a run of
+    rounds; a policy may post rounds itself with the same arithmetic and
+    draws.  Every round's price,
     reference and demand are kept in ``prices``, ``refs`` and ``demands``.
     Prices outside [0, p_max] are a hard failure.
     """
@@ -71,7 +72,6 @@ class SimEnv:
         self.T = T
         self.rng = rng
         self.t = 1
-        self.count = 1
         self.total = r1
         self.r = r1
         self.prices = np.empty(T)
@@ -99,16 +99,15 @@ class SimEnv:
             totals[0] = self.total
             totals[1:] = p
             np.cumsum(totals, out=totals)
-            refs = totals[:-1] / np.arange(self.count, self.count + m, dtype=float)
+            refs = totals[:-1] / np.arange(self.t, self.t + m, dtype=float)
             demand = expected_demand_vec(self.inst, p, refs) + self.noise.draw_array(self.rng, m)
             out[lo : lo + m] = demand
             i = self.t - 1
             self.prices[i : i + m] = p
             self.refs[i : i + m] = refs
             self.total = float(totals[-1])
-            self.count += m
-            self.r = self.total / self.count
             self.t += m
+            self.r = self.total / self.t
         return out
 
 

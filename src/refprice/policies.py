@@ -213,7 +213,7 @@ class LearnGreedyState:
         prices, refs, demands = env.prices, env.refs, env.demands
         r_target, d, budget, p_max = self.r_target, self.d, self.budget, self.p_max
         step_scale, p_top = 2.0 * p_max, r_target - d
-        t, total, count, r = env.t, env.total, env.count, env.r
+        t, total, r = env.t, env.total, env.r
         s, p_hat, sum_iterates = self.s, self.p_hat, self.sum_iterates
         while s <= budget and t <= T:
             learn = abs(r - r_target) <= RESET_TOL
@@ -227,9 +227,9 @@ class LearnGreedyState:
                 if m >= BLOCK_CUTOVER:
                     plan = np.full(m, extreme)
                     plan[n:] = correction  # nothing when the horizon cut the plan
-                    env.t, env.total, env.count, env.r = t, total, count, r
+                    env.t, env.total, env.r = t, total, r
                     env.post_block(plan)
-                    t, total, count, r = env.t, env.total, env.count, env.r
+                    t, total, r = env.t, env.total, env.r
                     continue
                 plan = [extreme] * n + [correction] if m > n else [extreme] * m
             for price in plan:
@@ -242,15 +242,14 @@ class LearnGreedyState:
                 demand = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap + shock
                 prices[t - 1], refs[t - 1], demands[t - 1] = price, r, demand
                 total += price
-                count += 1
-                r = total / count
                 t += 1
+                r = total / t
             if learn:
                 sum_iterates += p_hat
                 g = price * demand * kappa / d
                 p_hat = min(max(p_hat + g / (step_scale * s), d), p_top)
                 s += 1
-        env.t, env.total, env.count, env.r = t, total, count, r
+        env.t, env.total, env.r = t, total, r
         self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 
     def estimate(self) -> float:
@@ -297,14 +296,14 @@ def myopic_greedy_path(inst: Instance, r1: float, T: int) -> np.ndarray:
     with the simulator's exact running total: the reference after round t is
     (r1 + p_1 + ... + p_t) / (t + 1), summed in order.
     """
-    prices = []
+    prices = np.empty(T)
     total, r = r1, r1
-    for count in range(2, T + 2):
+    for t in range(1, T + 1):
         p = optimal_fixed_price(inst, r, 1)
-        prices.append(p)
+        prices[t - 1] = p
         total += p
-        r = total / count
-    return np.array(prices)
+        r = total / (t + 1)
+    return prices
 
 
 def markdown_curve(

@@ -17,19 +17,17 @@ initial price bit-identical to ``segment_initial_price``'s.  The brute-force
 reset tests a chunk of plan lengths per numpy pass.
 
 ``run_all`` runs the checks one after another in this process, from one
-generator.  The dense check's small solves run on one OpenBLAS thread.
+generator.  The dense check uses the BLAS thread count of its process: CLI
+runs use one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, and library
+callers get whatever their own process set.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -364,81 +362,28 @@ def random_theta(rng: np.random.Generator, p_max: float) -> PolicyParams:
     return PolicyParams(rng.uniform(0.02, 0.4), rng.uniform(0.5, 0.75) * p_max)
 
 
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the body with OpenBLAS on one thread, then restore its thread
-    count; a no-op where numpy loaded no OpenBLAS that can be found.
-
-    The dense oracle's systems have at most 200 rows: a second BLAS thread
-    gains nothing there, and one left spinning takes a core from the rest.
-    Only the OpenBLAS already loaded from numpy's bundled libraries is
-    opened (``RTLD_NOLOAD``), and its thread count is changed for the body
-    alone; no environment variable is set.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-@functools.cache
-def _openblas_threads():
-    """The get and set functions of the OpenBLAS thread count in the library
-    numpy loaded from its wheel's ``numpy.libs``, or None."""
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    if noload is None:
-        return None
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
-    except OSError:  # no such directory
-        return None
-    for name in names:
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name), mode=noload | os.RTLD_LAZY)
-        except OSError:  # not loaded
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
 def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
     """Dense solve of random segments vs the scalar recursion and the scan."""
     worst = 0.0
-    with _one_blas_thread():
-        for _ in range(n_cases):
-            p_max = rng.uniform(0.6, 2.0)
-            theta = random_theta(rng, p_max)
-            horizon = int(rng.integers(2, 201))
-            markdown_start = int(rng.integers(1, horizon + 1))
-            r_md = rng.uniform(0.0, p_max)
-            system = FocSystem(
-                markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md
-            )
-            if system.dominance_margin() <= 0.0:
-                continue
-            dense = dense_solve(system)
-            scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
-            # Started at markdown_start under a ceiling above every price, the
-            # scan's curve is the segment alone.
-            ceiling = 2.0 * max(r_md, dense.max())
-            scan = solve_curve(theta, r_md, markdown_start, horizon, ceiling)
-            for fast in (scalar, scan.prices):
-                worst = max(worst, float(np.max(np.abs(dense - fast))))
+    for _ in range(n_cases):
+        p_max = rng.uniform(0.6, 2.0)
+        theta = random_theta(rng, p_max)
+        horizon = int(rng.integers(2, 201))
+        markdown_start = int(rng.integers(1, horizon + 1))
+        r_md = rng.uniform(0.0, p_max)
+        system = FocSystem(
+            markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md
+        )
+        if system.dominance_margin() <= 0.0:
+            continue
+        dense = dense_solve(system)
+        scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
+        # Started at markdown_start under a ceiling above every price, the
+        # scan's curve is the segment alone.
+        ceiling = 2.0 * max(r_md, dense.max())
+        scan = solve_curve(theta, r_md, markdown_start, horizon, ceiling)
+        for fast in (scalar, scan.prices):
+            worst = max(worst, float(np.max(np.abs(dense - fast))))
     return CheckResult(
         "dense_vs_recursion", worst <= ORACLE_TOL, f"max abs diff {worst:.3e}"
     )

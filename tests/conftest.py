@@ -1,4 +1,8 @@
 import multiprocessing
+import os
+
+# As the CLI does, before numpy loads: the suite runs BLAS on one thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -35,9 +35,8 @@ def post(env, price: float) -> float:
     env.refs[i] = env.r
     env.demands[i] = demand
     env.total += price
-    env.count += 1
-    env.r = env.total / env.count
     env.t += 1
+    env.r = env.total / env.t
     return demand
 
 

@@ -330,6 +330,25 @@ def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, message, line):
     assert (out, err) == ("", line)
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("solve", []),
+        ("simulate", ["policy.kind=markdown_oracle"]),
+        ("simulate", ["policy.kind=myopic_greedy"]),
+    ],
+)
+def test_horizon_too_large_for_memory_exits_1_at_once(tmp_path, capsys, command, overrides):
+    """The output arrays are allocated before any O(T) work, so T = 10^20
+    fails numpy's size check at once, before anything is allocated."""
+    path = os.path.join(CONFIGS, "default.yaml")
+    argv = [command, "--config", path, "--out", str(tmp_path / "o11"), "--threads", "1"]
+    assert main(argv + overrides + [f"run.T={10**20}"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 def test_reset_plan_towards_a_target_near_p_max_is_cut_at_the_horizon(tmp_path):
     """With rb 1.3e-9 below p_max, the reset plan towards rb has more than 10^10
     rounds.  Only the rounds left before the horizon may be built: the run

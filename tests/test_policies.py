@@ -371,7 +371,7 @@ def test_kernel_matches_block_loop(noise, budget, split, T, seed, r_target, d_sh
         sides.append(
             (
                 [x.hex() for x in (learner.estimate(), learner.p_hat, learner.sum_iterates, env.r, env.total)],
-                (learner.s, learner.reset_rounds, env.t, env.count),
+                (learner.s, learner.reset_rounds, env.t),
                 (env.prices[:n].tobytes(), env.refs[:n].tobytes(), env.demands[:n].tobytes()),
                 rng.bit_generator.state,
             )

@@ -128,31 +128,6 @@ def test_shock_mean_bounds_at_the_false_alarm_rate():
     assert shock_mean_p_value(uniform, 0.0, n) == shock_mean_p_value(gaussian, 0.0, n) == 1.0
 
 
-def test_one_blas_thread_restores_the_thread_count():
-    threads = validate._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy loaded no OpenBLAS from its wheel")
-    get, set_ = threads
-    before = get()
-    set_(2)
-    try:
-        with pytest.raises(RuntimeError):
-            with validate._one_blas_thread():
-                assert get() == 1
-                raise RuntimeError
-        assert get() == 2
-    finally:
-        set_(before)
-
-
-def test_one_blas_thread_without_a_library_is_a_no_op(monkeypatch):
-    monkeypatch.setattr(validate, "_openblas_threads", lambda: None)
-    ran = False
-    with validate._one_blas_thread():
-        ran = True
-    assert ran
-
-
 @pytest.mark.parametrize("solver", [solve_curve, scalar_solve_curve, linear_scan_markdown_start])
 @pytest.mark.parametrize(
     "t_start, r_share", [(0, 0.5), (31, 0.5), (1, -0.1), (1, 1.1), (30, 1.1)]
