@@ -7,6 +7,7 @@ load time so a bad file fails before any output is written.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,14 +72,17 @@ def _check_keys(block: dict, allowed: set, name: str) -> None:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as a float; a bool, or what ``float`` rejects, is a
-    ConfigError."""
+    """``value`` as a finite float; a bool, nan, an infinity, or what
+    ``float`` rejects, is a ConfigError."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _integer(value, name: str) -> int:
@@ -191,7 +195,12 @@ def _parse_run(raw, inst: Instance) -> RunConfig:
     run.seeds = _integer(block.get("seeds", 1), "seeds")
     if run.seeds < 1:
         raise ConfigError("seeds must be at least 1")
+    # numpy takes no negative seed, and episodes.csv writes seeds as int64.
     run.base_seed = _integer(block.get("base_seed", 0), "base_seed")
+    if not 0 <= run.base_seed <= 2**63 - run.seeds:
+        raise ConfigError(
+            f"base_seed must lie in [0, 2**63 - seeds] for {run.seeds} seeds, got {run.base_seed}"
+        )
     run.r1 = _number(block.get("r1", 0.0), "r1")
     if not (0.0 <= run.r1 <= inst.p_max):
         raise ConfigError(f"r1 {run.r1} outside [0, {inst.p_max}]")

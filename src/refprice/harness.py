@@ -16,7 +16,8 @@ The CSV writers format rows in chunks, column by column, and format a column
 chunk that repeats, within a block or across blocks (episodes) at the same
 row offset, once per process; a large output is split offset-major among
 forked helpers and assembled in file order, with the same bytes for any
-number of processes (see ``_write_csv``).
+number of processes (see ``_write_csv``).  Every text goes to a binary file:
+the output itself, or the temp file of the process that formatted it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .policies import Policy, make_policy
 BLOCK_CHUNK = 4096
 # Rows the CSV writer formats and writes at a time.
 CSV_ROWS = 16384
-# Bytes the CSV writer copies from a temp file at a time.
-COPY_BYTES = 1 << 16
 
 
 class SimEnv:
@@ -246,7 +245,8 @@ def regret_sweep(
 
     Every horizon's baseline and episodes go to one job list, largest horizon
     first, run by a single pool of min(``threads``, jobs) processes when that
-    is over 1; results are read back in job order, so they do not depend on
+    is over 1 and this process may fork (``fork_usable``), else in this
+    process; results are read back in job order, so they do not depend on
     ``threads``.
 
     A record is flagged when its mean regret is negative beyond noise
@@ -266,7 +266,7 @@ def regret_sweep(
         jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
     # A fork pool starts every worker at once: no more than there are jobs.
     workers = min(threads, len(jobs))
-    if workers > 1:
+    if workers > 1 and fork_usable():
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_episode_value, jobs))
     else:
@@ -339,10 +339,9 @@ def _format_chunk(columns, lo: int, strings: dict) -> str:
     return "\n".join(chain(map(",".join, zip(*cells)), ("",)))
 
 
-def _write_items(blocks, items, f, tmp, to_file=frozenset()) -> list:
-    """Format ``items``, (row offset, block) pairs, in order.  The texts of
-    the items in ``to_file`` go to the text file ``f``, every other text to
-    the binary file ``tmp``; returns the lengths of those, in order.
+def _write_items(blocks, items, out) -> list:
+    """Format ``items``, (row offset, block) pairs, in order, into the binary
+    file ``out``; returns the lengths of their texts, in order.
 
     The strings of the first item formatted at an offset are kept while the
     items that follow are at the same offset, and a later item's column chunk
@@ -357,19 +356,14 @@ def _write_items(blocks, items, f, tmp, to_file=frozenset()) -> list:
             strings = kept
         else:
             strings = dict(kept)
-        text = _format_chunk(blocks[b], lo, strings)
-        if (lo, b) in to_file:
-            f.write(text)
-        else:
-            lengths.append(tmp.write(text.encode()))
-        del text  # before the next item is formatted
+        lengths.append(out.write(_format_chunk(blocks[b], lo, strings).encode()))
     return lengths
 
 
 def _write_run(blocks, run, tmp, send) -> None:
     """A helper process's work: format ``run`` into ``tmp`` and send the
     texts' lengths through the connection ``send``."""
-    lengths = _write_items(blocks, run, None, tmp)
+    lengths = _write_items(blocks, run, tmp)
     tmp.flush()
     send.send(lengths)
 
@@ -394,42 +388,37 @@ def _split(sizes, workers: int) -> tuple[list, list]:
 
 
 def _copy(tmp, pos: int, length: int, out) -> None:
-    """Append bytes ``pos`` to ``pos + length - 1`` of ``tmp`` to ``out``,
-    ``COPY_BYTES`` at a time."""
+    """Append bytes ``pos`` to ``pos + length - 1`` of ``tmp`` to ``out``.
+    A span is one chunk's text, no larger than the strings it was made from."""
     tmp.seek(pos)
-    while length:
-        data = tmp.read(min(length, COPY_BYTES))
-        if not data:
-            raise OSError("CSV temp file ended before its texts")
-        out.write(data)
-        length -= len(data)
+    data = tmp.read(length)
+    if len(data) != length:
+        raise OSError("CSV temp file ended before its texts")
+    out.write(data)
 
 
 def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
-    """Write the rows of ``blocks`` to ``f`` in ``workers`` processes.
+    """Write the rows of ``blocks`` to the binary file ``f`` in ``workers``
+    processes.
 
     The items of ``_split`` are formatted run by run: run 0 by this process,
     every other by a helper forked before run 0 starts, so it inherits
-    ``blocks`` instead of receiving a pickled copy.  This process writes
-    each text of run 0 that is next in file order (block 0's chunks, and
-    every chunk where each block is one chunk long) straight into ``f``;
-    every other text goes to its process's anonymous temp file in
-    ``directory``, at most one per process.  Each helper sends back its
-    texts' lengths through a pipe, and once every helper has exited the
-    texts are copied from the temp files into ``f`` in file order.  Where
-    ``directory`` takes no new file (it may be read-only while ``f`` itself
-    is writable), this process formats every item in file order straight
-    into ``f`` and forks nothing.
+    ``blocks`` instead of receiving a pickled copy.  Run 0 goes straight into
+    ``f`` when it begins the file in file order, as in every one-block output;
+    every other run goes to its own anonymous temp file in ``directory``.
+    Each helper sends back its texts' lengths through a pipe, and once every
+    helper has exited the texts are copied from the temp files into ``f`` in
+    file order.  Where ``directory`` takes no new file (it may be read-only
+    while ``f`` itself is writable), this process formats every item in file
+    order straight into ``f`` and forks nothing.
 
     A helper that fails raises ``OSError``; on any failure the helpers still
     running are terminated, and every helper is joined and every pipe and
     temp file closed before this returns or raises.
     """
     file_order, runs = _split(sizes, workers)
-    straight = 0  # the texts of run 0 that continue the file
-    for item in runs[0]:
-        straight += item == file_order[straight]
-    to_file = set(file_order[:straight])
+    # 1 when run 0 begins the file and goes straight into f, else 0.
+    straight = int(runs[0] == file_order[: len(runs[0])])
     # A helper inherits f's buffer: it must be empty, or a flush in the
     # helper would write its lines a second time.
     f.flush()
@@ -437,20 +426,20 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
     temps, pipes, helpers = [], [], []
     try:
         try:
-            for k, run in enumerate(runs):
-                needed = k > 0 or straight < len(run)
-                temps.append(tempfile.TemporaryFile(dir=directory) if needed else None)
+            for _ in runs[straight:]:
+                temps.append(tempfile.TemporaryFile(dir=directory))
         except OSError:
-            _write_items(blocks, file_order, f, None, set(file_order))
+            _write_items(blocks, file_order, f)
             return
-        for run, tmp in zip(runs[1:], temps[1:]):
+        outs = [f] * straight + temps
+        for run, tmp in zip(runs[1:], outs[1:]):
             receive, send = fork.Pipe(duplex=False)
             pipes += [receive, send]
             helper = fork.Process(target=_write_run, args=(blocks, run, tmp, send))
             helper.start()
             helpers.append(helper)
             send.close()  # so that a helper's death reads as EOF
-        lengths = [_write_items(blocks, runs[0], f, temps[0], to_file)]
+        lengths = [_write_items(blocks, runs[0], outs[0])]
         for k, (helper, receive) in enumerate(zip(helpers, pipes[::2]), 1):
             try:
                 lengths.append(receive.recv())
@@ -464,14 +453,11 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
                     f"exited with code {helper.exitcode}"
                 )
         spans = {}
-        for run, tmp, run_lengths in zip(runs, temps, lengths):
-            pos = 0
-            for item, length in zip([item for item in run if item not in to_file], run_lengths):
+        for run, tmp, run_lengths in zip(runs[straight:], temps, lengths[straight:]):
+            for item, pos, length in zip(run, accumulate(run_lengths, initial=0), run_lengths):
                 spans[item] = (tmp, pos, length)
-                pos += length
-        f.flush()
-        for item in file_order[straight:]:
-            _copy(*spans[item], f.buffer)
+        for item in file_order[straight * len(runs[0]) :]:
+            _copy(*spans[item], f)
     finally:
         for helper in helpers:
             helper.terminate()  # a no-op once the helper has been joined
@@ -480,8 +466,7 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
         for conn in pipes:
             conn.close()
         for tmp in temps:
-            if tmp is not None:
-                tmp.close()
+            tmp.close()
 
 
 def fork_usable() -> bool:
@@ -493,7 +478,8 @@ def fork_usable() -> bool:
 
 def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
     """Write the ``# key=value`` lines of ``meta`` in key order, the header,
-    each block's columns as rows, then the ``footer`` lines.
+    each block's columns as rows, then the ``footer`` lines, as UTF-8 bytes
+    into a file opened in binary mode.
 
     A block is a sequence of equal-length int or float columns (arrays,
     views or lists); columns of unequal length raise ``ValueError`` before
@@ -515,11 +501,12 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     The chunks are split offset-major into W = min(``threads``,
     rows // ``CSV_ROWS``) contiguous runs of about equal rows, so an output
     under two chunks is written by this process alone.  With W > 1 this
-    process formats run 0 and W - 1 forked helpers the others (see
-    ``_write_blocks``); W drops to 1 where this process may not fork
-    (``fork_usable``).  A cell's text does not depend on where a chunk or a
-    run begins, and the texts are written in file order, so the bytes do not
-    depend on W.
+    process formats run 0 and W - 1 forked helpers the others; run 0 goes
+    straight into the file when it begins it, every other run through its
+    own temp file (see ``_write_blocks``).  W drops to 1 where this process
+    may not fork (``fork_usable``).  A cell's text does not depend on where
+    a chunk or a run begins, and the texts are written in file order, so the
+    bytes do not depend on W.
     """
     blocks = [[np.asarray(column) for column in columns] for columns in blocks]
     for columns in blocks:
@@ -530,14 +517,13 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     workers = max(1, min(threads, sum(sizes) // CSV_ROWS))
     if workers > 1 and not fork_usable():
         workers = 1
-    # The temp files hold UTF-8: the whole file is written in that encoding.
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "wb") as f:
         for key, value in sorted(meta.items()):
-            f.write(f"# {key}={value}\n")
-        f.write(header + "\n")
+            f.write(f"# {key}={value}\n".encode())
+        f.write((header + "\n").encode())
         _write_blocks(f, blocks, sizes, workers, os.path.dirname(os.path.abspath(path)))
         for line in footer:
-            f.write(line + "\n")
+            f.write((line + "\n").encode())
 
 
 def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1) -> None:

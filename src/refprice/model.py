@@ -12,6 +12,7 @@ affine in r with coefficients (c1, c2) = (eta+/(2(a+eta+)), b/(2(a+eta+))).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "bounded_uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.half_width < 0:
-            raise ValueError("half_width must be nonnegative")
-        if self.std < 0:
-            raise ValueError("std must be nonnegative")
+        # numpy's uniform draw needs a finite width 2 * half_width.
+        if not (self.half_width >= 0 and math.isfinite(2.0 * self.half_width)):
+            raise ValueError("half_width must be nonnegative, with 2 * half_width finite")
+        if not (self.std >= 0 and math.isfinite(self.std)):
+            raise ValueError("std must be nonnegative and finite")
 
     @classmethod
     def none(cls) -> "NoiseSpec":

@@ -321,8 +321,14 @@ def markdown_curve(
 
 
 def default_t1_budget(p_max: float, T: int, c: float = 1.0) -> int:
-    """Exploration budget per phase: c * p_max^2 * sqrt(T / (1 + p_max))."""
-    return max(4, int(round(c * p_max * p_max * math.sqrt(T / (1.0 + p_max)))))
+    """Exploration budget per phase: c * p_max^2 * sqrt(T / (1 + p_max)).
+    Raises ``ValueError`` where that is not finite."""
+    budget = c * p_max * p_max * math.sqrt(T / (1.0 + p_max))
+    if not math.isfinite(budget):
+        raise ValueError(
+            f"exploration budget c * p_max^2 * sqrt(T / (1 + p_max)) is {budget}, c = {c!r}"
+        )
+    return max(4, int(round(budget)))
 
 
 def default_exploration_refs(p_max: float, p_ratio_bound: float) -> tuple[float, float]:

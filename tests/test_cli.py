@@ -238,6 +238,14 @@ RUN_LIST = "run: [1]\n"
         ("learning_sweep.yaml", "policy.c_t1=abc"),
         ("learning_sweep.yaml", "policy.t1_budget=40.5"),
         ("learning_sweep.yaml", "policy.ra=[1]"),
+        ("learning_sweep.yaml", "policy.c_t1=.inf"),
+        ("learning_sweep.yaml", "policy.c_t1=.nan"),
+        ("default.yaml", "noise.half_width=1e308"),
+        ("default.yaml", "noise.std=.nan"),
+        ("default.yaml", "instance.a=.nan"),
+        ("default.yaml", "run.base_seed=-1"),
+        ("default.yaml", "run.base_seed=1e30"),
+        ("default.yaml", f"{SEED_ENV_VAR}=-1"),
         (TOP_LEVEL_LIST, "run.seeds=2"),
         (TOP_LEVEL_LIST, f"{SEED_ENV_VAR}=3"),
         (RUN_LIST, f"{SEED_ENV_VAR}=3"),
@@ -259,6 +267,17 @@ def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, config, override
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_infinite_exploration_budget_exits_1(tmp_path, capsys, command):
+    """c_t1 = 1e308 is finite, but the budget it scales overflows."""
+    path = os.path.join(CONFIGS, "learning_sweep.yaml")
+    args = [command, "--config", path, "--out", str(tmp_path), "--threads", "1"]
+    assert main(args + ["run.T=100", "run.T_list=[100]", "run.seeds=1", "policy.c_t1=1e308"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_null_out_dir_means_default(tmp_path, monkeypatch):

@@ -528,18 +528,23 @@ def _failing_items(fail_run0, fail_helper):
     """``_write_items`` with a failure injected into this process's run 0
     and into the helpers' runs, each a callable or None."""
     write_items = harness._write_items
+    parent = os.getpid()
 
-    def write(blocks, items, f, tmp, to_file=frozenset()):
-        fail = fail_run0 if f is not None else fail_helper
+    def write(blocks, items, out):
+        fail = fail_run0 if os.getpid() == parent else fail_helper
         if fail is not None:
             fail()
-        return write_items(blocks, items, f, tmp, to_file)
+        return write_items(blocks, items, out)
 
     return write
 
 
 def _raise():
     raise RuntimeError("injected")
+
+
+def _refuse_start(*args, **kwargs):
+    raise AssertionError("a process was started")
 
 
 def _long_blocks():
@@ -586,6 +591,30 @@ def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
         stop.set()
         thread.join()
     assert starts == []
+
+
+def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch):
+    """Forking a process with threads is unsafe: the sweep runs its jobs in
+    this process, with the records of ``threads=1``."""
+    kwargs = dict(
+        noise=NoiseSpec.bounded_uniform(0.1),
+        policy_spec={"kind": "two_price", "alpha": 0.3},
+        T_list=[60, 120],
+        seeds=3,
+        r1=0.0,
+    )
+    expected = regret_sweep(inst_symmetric, **kwargs, threads=1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with monkeypatch.context() as refusing:
+            refusing.setattr(multiprocessing.process.BaseProcess, "start", _refuse_start)
+            refusing.setattr(os, "fork", _refuse_start)
+            assert regret_sweep(inst_symmetric, **kwargs, threads=2) == expected
+    finally:
+        stop.set()
+        thread.join()
 
 
 @pytest.mark.parametrize(
@@ -677,7 +706,9 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
 
 
 def test_write_csv_one_temp_file_per_process(tmp_path, monkeypatch):
-    """50 blocks over 3 processes: 3 temp files, whatever the block count."""
+    """3 processes: 3 temp files for 50 blocks of 3 chunks, whatever the
+    block count, and 2 where run 0 begins the file and goes straight into
+    it: one block, or 50 blocks of one chunk each."""
     monkeypatch.setattr(harness, "CSV_ROWS", 10)
     made = []
     temporary_file = tempfile.TemporaryFile
@@ -687,9 +718,15 @@ def test_write_csv_one_temp_file_per_process(tmp_path, monkeypatch):
         return temporary_file(*args, **kwargs)
 
     monkeypatch.setattr(harness.tempfile, "TemporaryFile", spy)
-    _assert_writes_like_rowwise(tmp_path, [_episode_block(i, 30) for i in range(50)], 3)
-    assert made == [str(tmp_path)] * 3
-    assert sorted(os.listdir(tmp_path)) == ["chunked.csv", "rowwise.csv"]
+    for blocks, temps in (
+        ([_episode_block(i, 30) for i in range(50)], 3),
+        ([_episode_block(0, 1500)], 2),
+        ([_episode_block(i, 10) for i in range(50)], 2),
+    ):
+        made.clear()
+        _assert_writes_like_rowwise(tmp_path, blocks, 3)
+        assert made == [str(tmp_path)] * temps
+        assert sorted(os.listdir(tmp_path)) == ["chunked.csv", "rowwise.csv"]
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
