@@ -77,11 +77,18 @@ def _maps(c1: float, lo: int, hi: int) -> list[np.ndarray]:
     return [np.ones_like(t), -c1 / (t * (t + 1.0 + c1)), np.ones_like(t), np.ones_like(t)]
 
 
-def _mul(x, y):
-    """Products x @ y of 2x2 matrices given by their entries (a, b, c, d)."""
+def _mul(x, y, out, tmp):
+    """Products x @ y of 2x2 matrices given by their entries (a, b, c, d),
+    written into the four arrays ``out``; ``tmp`` is a work array of their
+    length.  Entry a is xa*ya + xb*yc, summed in that order, and so on."""
     xa, xb, xc, xd = x
     ya, yb, yc, yd = y
-    return [xa * ya + xb * yc, xa * yb + xb * yd, xc * ya + xd * yc, xc * yb + xd * yd]
+    terms = ((xa, ya, xb, yc), (xa, yb, xb, yd), (xc, ya, xd, yc), (xc, yb, xd, yd))
+    for dst, (u, v, w, z) in zip(out, terms):
+        np.multiply(u, v, out=dst)
+        np.multiply(w, z, out=tmp)
+        dst += tmp
+    return out
 
 
 def _left(y, m):
@@ -91,10 +98,14 @@ def _left(y, m):
 
 def _scan(m: list[np.ndarray], forward: bool) -> list[np.ndarray]:
     """Running products of the maps m in place, by log-depth doubling: entry
-    i becomes M_i ... M_0 when ``forward``, else M_{n-1} ... M_i."""
+    i becomes M_i ... M_0 when ``forward``, else M_{n-1} ... M_i.  Each
+    step's products go to buffers allocated once per call."""
+    n = len(m[0])
+    buf, tmp = np.empty((4, n)), np.empty(n)
     step = 1
-    while step < len(m[0]):
-        prods = _mul([x[step:] for x in m], [x[:-step] for x in m])
+    while step < n:
+        k = n - step
+        prods = _mul([x[step:] for x in m], [x[:-step] for x in m], buf[:, :k], tmp[:k])
         dst = slice(step, None) if forward else slice(None, -step)
         for x, p in zip(m, prods):
             x[dst] = p
@@ -107,7 +118,8 @@ def _product(m: list[np.ndarray]) -> list[float]:
     while len(m[0]) > 1:
         if len(m[0]) % 2:
             m = [np.append(x, e) for x, e in zip(m, (1.0, 0.0, 0.0, 1.0))]
-        m = _mul([x[1::2] for x in m], [x[::2] for x in m])
+        k = len(m[0]) // 2
+        m = _mul([x[1::2] for x in m], [x[::2] for x in m], np.empty((4, k)), np.empty(k))
     return [float(x[0]) for x in m]
 
 

@@ -29,9 +29,17 @@ from .model import BOUNDARY_TOL, DomainError, Instance, PolicyParams, true_polic
 RESET_TOL = 1e-9
 # Reset plans at least this long go to ``SimEnv.post_block``; shorter ones,
 # and every learning round, are posted inline by ``LearnGreedyState.run``.
-# Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): an inline round costs
-# 1.0-1.4 us, and a ``post_block`` call 25-40 us up to a few hundred rounds.
-BLOCK_CUTOVER = 32
+# Each cutover is where that many inline rounds cost as much as one
+# ``post_block`` call with its plan, plus the buffered draws it gives back.
+# Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): a ``post_block`` call
+# costs 31-35 us up to a few hundred rounds, giving back about 10 us of
+# draws; an inline round costs 0.33 us when its shock is read from the
+# buffer or is zero, and 0.77 us when it is a scalar generator call.
+BLOCK_CUTOVER = 128
+SCALAR_BLOCK_CUTOVER = 40
+# Doubles that ``LearnGreedyState.run`` draws at a time into its buffer:
+# about 20 ns each, and a rewind gives back half of them on average.
+DRAW_BUFFER = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +137,36 @@ def _reset_plan(t: int, r_t: float, r_target: float, p_max: float):
         raise ValueError("references must lie in [0, p_max]")
     if abs(r_t - r_target) <= RESET_TOL:
         return None
-    eps = 1e-12 * max(1.0, p_max, t * max(r_t, r_target))
-    lo, hi = -eps, p_max + eps
-    extreme = p_max if r_t < r_target else 0.0
+    # The larger reference of the two is the target going up, else r_t.
+    if r_t < r_target:
+        extreme, scale = p_max, t * r_target
+    else:
+        extreme, scale = 0.0, t * r_t
     if r_target == extreme:  # the average reaches an extreme only if every price is it
         raise ValueError(f"target reference {r_target} is unreachable from {r_t}")
+    # eps = 1e-12 * max(1, p_max, t * max(r_t, r_target)), without the calls.
+    if scale < p_max:
+        scale = p_max
+    if scale < 1.0:
+        scale = 1.0
+    eps = 1e-12 * scale
+    lo, hi = -eps, p_max + eps
     base = (t + 1) * r_target - t * r_t
     slope = r_target - extreme
-    n = max(0, math.ceil((base - extreme) / (extreme - r_target) - 1e-9))
+    n = math.ceil((base - extreme) / (extreme - r_target) - 1e-9)
+    if n < 0:
+        n = 0
     while not lo <= base + n * slope <= hi:
         n += 1
     while n > 0 and lo <= base + (n - 1) * slope <= hi:
         n -= 1
-    return extreme, n, min(max(base + n * slope, 0.0), p_max)
+    # min(max(correction, 0.0), p_max), without the calls.
+    correction = base + n * slope
+    if correction < 0.0:
+        correction = 0.0
+    elif correction > p_max:
+        correction = p_max
+    return extreme, n, correction
 
 
 def reset_ref(t: int, r_t: float, r_target: float, p_max: float) -> list[float]:
@@ -201,54 +226,96 @@ class LearnGreedyState:
         """Post reset plans, cut at the horizon, and learning rounds into
         ``env``, a ``SimEnv``, until the budget is spent or the horizon is
         reached.  Learning rounds and plans under ``BLOCK_CUTOVER`` rounds
-        are posted here with ``post_block``'s arithmetic, domain checks and
-        draws, the sign before the round's shock; longer plans go to it.
+        (``SCALAR_BLOCK_CUTOVER`` when each shock is a scalar call) are
+        posted here with ``post_block``'s arithmetic, domain checks and
+        draws, the sign before the round's shock, and stored through
+        memoryviews of the env's arrays; longer plans go to ``post_block``.
+
+        The draw source is chosen once per call.  Under bounded-uniform or
+        no noise, when the signs come from the env's own generator and it is
+        a ``PCG64``/``PCG64DXSM`` with no 32-bit half word pending, every
+        sign and shock is one ``random()`` double, read from a list drawn
+        ``DRAW_BUFFER`` at a time.  Before each ``post_block`` call and on
+        every exit, raise included, the unused doubles are given back with
+        ``bit_generator.advance``, which leaves the generator where the
+        scalar calls leave it.  Otherwise (gaussian shocks, whose ziggurat
+        takes a variable number of words; a sign generator of its own; any
+        other bit generator) each draw is one scalar call.
         """
-        inst, noise, T = env.inst, env.noise, env.T
+        inst, noise, T, rng = env.inst, env.noise, env.T, env.rng
         a, b, eta_plus, eta_minus = inst.a, inst.b, inst.eta_plus, inst.eta_minus
         lo, hi = -BOUNDARY_TOL, inst.p_max + BOUNDARY_TOL
         unif, gauss = noise.kind == "bounded_uniform", noise.kind == "gaussian"
         low, width, std = -noise.half_width, 2.0 * noise.half_width, noise.std
-        random, normal, coin = env.rng.random, env.rng.standard_normal, self.rng.random
-        prices, refs, demands = env.prices, env.refs, env.demands
+        bitgen = rng.bit_generator
+        buffered = (
+            self.rng is rng
+            and not gauss
+            and type(bitgen) in (np.random.PCG64, np.random.PCG64DXSM)
+            and not bitgen.state["has_uint32"]  # advance clears a pending half word
+        )
+        draws = iter(())  # the unused buffered doubles
+        cutover = SCALAR_BLOCK_CUTOVER if (unif or gauss) and not buffered else BLOCK_CUTOVER
+        random, normal, coin = rng.random, rng.standard_normal, self.rng.random
+        prices, refs, demands = (memoryview(x) for x in (env.prices, env.refs, env.demands))
         r_target, d, budget, p_max = self.r_target, self.d, self.budget, self.p_max
         step_scale, p_top = 2.0 * p_max, r_target - d
         t, total, r = env.t, env.total, env.r
         s, p_hat, sum_iterates = self.s, self.p_hat, self.sum_iterates
-        while s <= budget and t <= T:
-            learn = abs(r - r_target) <= RESET_TOL
-            if learn:
-                kappa = 1.0 if coin() < 0.5 else -1.0
-                plan = (p_hat + kappa * d,)
-            else:
-                extreme, n, correction = _reset_plan(t, r, r_target, p_max)
-                m = min(n + 1, T - t + 1)
-                self.reset_rounds += m
-                if m >= BLOCK_CUTOVER:
-                    plan = np.full(m, extreme)
-                    plan[n:] = correction  # nothing when the horizon cut the plan
-                    env.t, env.total, env.r = t, total, r
-                    env.post_block(plan)
-                    t, total, r = env.t, env.total, env.r
-                    continue
-                plan = [extreme] * n + [correction] if m > n else [extreme] * m
-            for price in plan:
-                if not lo <= price <= hi:
-                    raise DomainError(f"price {price} outside [0, {inst.p_max}]")
-                if not lo <= r <= hi:
-                    raise DomainError(f"reference {r} outside [0, {inst.p_max}]")
-                gap = r - price
-                shock = low + width * random() if unif else std * normal() if gauss else 0.0
-                demand = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap + shock
-                prices[t - 1], refs[t - 1], demands[t - 1] = price, r, demand
-                total += price
-                t += 1
-                r = total / t
-            if learn:
-                sum_iterates += p_hat
-                g = price * demand * kappa / d
-                p_hat = min(max(p_hat + g / (step_scale * s), d), p_top)
-                s += 1
+        try:
+            while s <= budget and t <= T:
+                learn = abs(r - r_target) <= RESET_TOL
+                if learn:
+                    m = 1
+                else:
+                    extreme, n, correction = _reset_plan(t, r, r_target, p_max)
+                    m = min(n + 1, T - t + 1)
+                    self.reset_rounds += m
+                    if m >= cutover:
+                        if buffered:
+                            bitgen.advance(-draws.__length_hint__())
+                            draws = iter(())
+                        plan = np.full(m, extreme)
+                        plan[n:] = correction  # nothing when the horizon cut the plan
+                        env.t, env.total, env.r = t, total, r
+                        env.post_block(plan)
+                        t, total, r = env.t, env.total, env.r
+                        continue
+                    plan = [extreme] * n + [correction] if m > n else [extreme] * m
+                if buffered and draws.__length_hint__() <= m:  # m rounds take <= m + 1 draws
+                    bitgen.advance(-draws.__length_hint__())
+                    draws = iter(rng.random(max(DRAW_BUFFER, m + 1)).tolist())
+                    random = coin = draws.__next__
+                if learn:
+                    kappa = 1.0 if coin() < 0.5 else -1.0
+                    plan = (p_hat + kappa * d,)
+                for price in plan:
+                    if not lo <= price <= hi:
+                        raise DomainError(f"price {price} outside [0, {inst.p_max}]")
+                    if not lo <= r <= hi:
+                        raise DomainError(f"reference {r} outside [0, {inst.p_max}]")
+                    gap = r - price
+                    shock = low + width * random() if unif else std * normal() if gauss else 0.0
+                    demand = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap + shock
+                    prices[t - 1], refs[t - 1], demands[t - 1] = price, r, demand
+                    total += price
+                    t += 1
+                    r = total / t
+                if learn:
+                    sum_iterates += p_hat
+                    g = price * demand * kappa / d
+                    # min(max(p_hat + step, d), p_top), without the calls.
+                    p_hat += g / (step_scale * s)
+                    if p_hat < d:
+                        p_hat = d
+                    if p_top < p_hat:
+                        p_hat = p_top
+                    s += 1
+        finally:
+            if buffered:
+                bitgen.advance(-draws.__length_hint__())
+            for view in (prices, refs, demands):
+                view.release()
         env.t, env.total, env.r = t, total, r
         self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 

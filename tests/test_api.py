@@ -85,6 +85,12 @@ def test_bare_import_loads_no_numpy():
     assert run_fresh("import sys, refprice; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_cli_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use; a command that draws nothing in
+    # its own process (sweep's parent, solve) should not pay for it.
+    assert run_fresh("import sys, refprice.cli; print('numpy.random' in sys.modules)") == "False\n"
+
+
 def test_every_name_and_submodule_resolves_after_a_bare_import():
     code = f"""
 import importlib, refprice

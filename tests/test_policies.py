@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Philox
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -379,6 +382,52 @@ def test_kernel_matches_block_loop(noise, budget, split, T, seed, r_target, d_sh
     assert sides[0] == sides[1]
 
 
+BIT_GENERATORS = (PCG64, PCG64DXSM, Philox, SFC64, MT19937)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda noise: noise.kind)
+@pytest.mark.parametrize("own_coins", [False, True], ids=["env_coins", "own_coins"])
+@pytest.mark.parametrize(
+    "bitgen, half_word",
+    [(cls, False) for cls in BIT_GENERATORS] + [(PCG64, True), (PCG64DXSM, True)],
+    ids=lambda x: x.__name__ if isinstance(x, type) else ("half_word" if x else "whole"),
+)
+def test_kernel_matches_block_loop_for_every_draw_source(bitgen, half_word, own_coins, noise):
+    # The kernel buffers its draws only from a PCG64 or PCG64DXSM that also
+    # gives the signs and holds no pending 32-bit half word; with any other
+    # bit generator, signs of their own or a pending half word it draws one
+    # scalar at a time.  Either way both generators end where the block
+    # loop leaves them.  A target 0.006 below p_max makes reset plans on both
+    # sides of BLOCK_CUTOVER and of SCALAR_BLOCK_CUTOVER until the horizon,
+    # whose 6,000 shocks take more than one DRAW_BUFFER.
+    r_target = INST.p_max - 0.006
+    sides = []
+    for kernel in (True, False):
+        rng = np.random.Generator(bitgen(7))
+        coins = np.random.Generator(bitgen(8)) if own_coins else rng
+        if half_word:
+            rng.integers(0, 10, dtype=np.int32)
+        env = SimEnv(INST, noise, 6000, 0.5, rng)
+        cls = LearnGreedyState if kernel else BlockLearner
+        learner = cls(r_target=r_target, d=0.3 * r_target, budget=6000, p_max=INST.p_max, rng=coins)
+        if kernel:
+            learner.run(env)
+        else:
+            run_blocks(learner, env)
+        n = env.t - 1
+        sides.append(
+            (
+                [x.hex() for x in (learner.p_hat, learner.sum_iterates, env.total)],
+                (learner.s, learner.reset_rounds, env.t),
+                (env.prices[:n].tobytes(), env.refs[:n].tobytes(), env.demands[:n].tobytes()),
+                # Philox, SFC64 and MT19937 keep arrays in their state.
+                json.dumps([rng.bit_generator.state, coins.bit_generator.state], default=np.ndarray.tolist),
+            )
+        )
+    assert sides[0][1][2] == 6001
+    assert sides[0] == sides[1]
+
+
 @pytest.mark.parametrize("T", [1, 10**5])
 def test_kernel_out_of_range_price(inst_symmetric, T):
     # A learner whose p_max exceeds the instance's plans its reset at a price
@@ -390,6 +439,26 @@ def test_kernel_out_of_range_price(inst_symmetric, T):
     with pytest.raises(DomainError):
         learner.run(env)
     assert env.t == 1
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda noise: noise.kind)
+def test_kernel_out_of_range_price_leaves_the_generator_as_the_block_loop(noise):
+    # A learning round at r1 = r_target draws its sign and shock; then the
+    # reset plan's correction, above the instance's p_max, fails with
+    # DomainError.  The kernel's unused buffered draws are given back on the
+    # way out, so the generator is where the block loop left it.
+    sides = []
+    for cls in (LearnGreedyState, BlockLearner):
+        rng = np.random.default_rng(5)
+        env = SimEnv(INST, noise, 100, 1.2, rng)
+        learner = cls(r_target=1.2, d=0.1, budget=10, p_max=2.0, rng=rng)
+        with pytest.raises(DomainError):
+            if cls is LearnGreedyState:
+                learner.run(env)
+            else:
+                run_blocks(learner, env)
+        sides.append((env.prices[:1].tobytes(), env.demands[:1].tobytes(), rng.bit_generator.state))
+    assert sides[0] == sides[1]
 
 
 # ---------------------------------------------------------------------------
