@@ -29,16 +29,18 @@ from .model import BOUNDARY_TOL, DomainError, Instance, PolicyParams, true_polic
 RESET_TOL = 1e-9
 # Reset plans at least this long go to ``SimEnv.post_block``; shorter ones,
 # and every learning round, are posted inline by ``LearnGreedyState.run``.
-# Each cutover is where that many inline rounds cost as much as one
-# ``post_block`` call with its plan, plus the buffered draws it gives back.
 # Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): a ``post_block`` call
-# costs 31-35 us up to a few hundred rounds, giving back about 10 us of
-# draws; an inline round costs 0.33 us when its shock is read from the
-# buffer or is zero, and 0.77 us when it is a scalar generator call.
-BLOCK_CUTOVER = 128
-SCALAR_BLOCK_CUTOVER = 40
+# costs 31-35 us up to a few hundred rounds; an inline round costs 0.33 us
+# when its shock is read from the draw buffer or is zero, and 0.77 us when it
+# is a scalar generator call, so the break-even lies at 40-100 rounds.  The
+# learner's plans are either short or far longer: on ``learning_sweep`` (4
+# seeds) 11,749 plans are under 32 rounds and the other 12 at least 128, and
+# c08's (budgets 10^2-10^4) are all under 32, so every cutover from 32 to
+# 128 posts them the same way.
+BLOCK_CUTOVER = 32
 # Doubles that ``LearnGreedyState.run`` draws at a time into its buffer:
-# about 20 ns each, and a rewind gives back half of them on average.
+# about 20 ns each, and a rewind gives back half of them on average.  Must
+# exceed BLOCK_CUTOVER, so one refill covers any inline plan.
 DRAW_BUFFER = 1024
 
 
@@ -226,17 +228,17 @@ class LearnGreedyState:
         """Post reset plans, cut at the horizon, and learning rounds into
         ``env``, a ``SimEnv``, until the budget is spent or the horizon is
         reached.  Learning rounds and plans under ``BLOCK_CUTOVER`` rounds
-        (``SCALAR_BLOCK_CUTOVER`` when each shock is a scalar call) are
-        posted here with ``post_block``'s arithmetic, domain checks and
+        are posted here with ``post_block``'s arithmetic, domain checks and
         draws, the sign before the round's shock, and stored through
         memoryviews of the env's arrays; longer plans go to ``post_block``.
 
         The draw source is chosen once per call.  Under bounded-uniform or
         no noise, when the signs come from the env's own generator and it is
         a ``PCG64``/``PCG64DXSM`` with no 32-bit half word pending, every
-        sign and shock is one ``random()`` double, read from a list drawn
-        ``DRAW_BUFFER`` at a time.  Before each ``post_block`` call and on
-        every exit, raise included, the unused doubles are given back with
+        sign and shock is one ``random()`` double, popped from a list drawn
+        ``DRAW_BUFFER`` at a time and stored last draw first.  Before each
+        ``post_block`` call and on every exit, raise included, the unused
+        doubles, the list's length, are given back with
         ``bit_generator.advance``, which leaves the generator where the
         scalar calls leave it.  Otherwise (gaussian shocks, whose ziggurat
         takes a variable number of words; a sign generator of its own; any
@@ -254,9 +256,10 @@ class LearnGreedyState:
             and type(bitgen) in (np.random.PCG64, np.random.PCG64DXSM)
             and not bitgen.state["has_uint32"]  # advance clears a pending half word
         )
-        draws = iter(())  # the unused buffered doubles
-        cutover = SCALAR_BLOCK_CUTOVER if (unif or gauss) and not buffered else BLOCK_CUTOVER
+        buf = []  # the unused buffered doubles, the next one last
         random, normal, coin = rng.random, rng.standard_normal, self.rng.random
+        if buffered:
+            random = coin = buf.pop
         prices, refs, demands = (memoryview(x) for x in (env.prices, env.refs, env.demands))
         r_target, d, budget, p_max = self.r_target, self.d, self.budget, self.p_max
         step_scale, p_top = 2.0 * p_max, r_target - d
@@ -271,10 +274,10 @@ class LearnGreedyState:
                     extreme, n, correction = _reset_plan(t, r, r_target, p_max)
                     m = min(n + 1, T - t + 1)
                     self.reset_rounds += m
-                    if m >= cutover:
+                    if m >= BLOCK_CUTOVER:
                         if buffered:
-                            bitgen.advance(-draws.__length_hint__())
-                            draws = iter(())
+                            bitgen.advance(-len(buf))
+                            buf.clear()
                         plan = np.full(m, extreme)
                         plan[n:] = correction  # nothing when the horizon cut the plan
                         env.t, env.total, env.r = t, total, r
@@ -282,10 +285,9 @@ class LearnGreedyState:
                         t, total, r = env.t, env.total, env.r
                         continue
                     plan = [extreme] * n + [correction] if m > n else [extreme] * m
-                if buffered and draws.__length_hint__() <= m:  # m rounds take <= m + 1 draws
-                    bitgen.advance(-draws.__length_hint__())
-                    draws = iter(rng.random(max(DRAW_BUFFER, m + 1)).tolist())
-                    random = coin = draws.__next__
+                if buffered and len(buf) <= m:  # m rounds take at most m + 1 draws
+                    bitgen.advance(-len(buf))
+                    buf[:] = rng.random(DRAW_BUFFER)[::-1].tolist()
                 if learn:
                     kappa = 1.0 if coin() < 0.5 else -1.0
                     plan = (p_hat + kappa * d,)
@@ -313,9 +315,7 @@ class LearnGreedyState:
                     s += 1
         finally:
             if buffered:
-                bitgen.advance(-draws.__length_hint__())
-            for view in (prices, refs, demands):
-                view.release()
+                bitgen.advance(-len(buf))
         env.t, env.total, env.r = t, total, r
         self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 

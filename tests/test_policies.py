@@ -398,8 +398,8 @@ def test_kernel_matches_block_loop_for_every_draw_source(bitgen, half_word, own_
     # bit generator, signs of their own or a pending half word it draws one
     # scalar at a time.  Either way both generators end where the block
     # loop leaves them.  A target 0.006 below p_max makes reset plans on both
-    # sides of BLOCK_CUTOVER and of SCALAR_BLOCK_CUTOVER until the horizon,
-    # whose 6,000 shocks take more than one DRAW_BUFFER.
+    # sides of BLOCK_CUTOVER until the horizon, whose 6,000 shocks take more
+    # than one DRAW_BUFFER.
     r_target = INST.p_max - 0.006
     sides = []
     for kernel in (True, False):
