@@ -12,12 +12,15 @@ given (instance, noise, policy spec, T, r1, seed); the seed for episode i of a
 run is base_seed + i, with the same seed list reused across the horizons of a
 sweep.
 
-The CSV writers format rows in chunks, column by column, and format a column
-chunk that repeats, within a block or across blocks (episodes) at the same
-row offset, once per process; a large output is split offset-major among
-forked helpers and assembled in file order, with the same bytes for any
-number of processes (see ``_write_csv``).  Every text goes to a binary file:
-the output itself, or the temp file of the process that formatted it.
+The CSV writers format rows in chunks of a fixed number of cells, column by
+column, and format a column chunk that repeats, within a block or across
+blocks (episodes) at the same row offset, once per process, so the strings
+and text a writer holds do not grow with the rows, the columns or the
+blocks; a large output is split offset-major among forked helpers and
+assembled in file order, with the same bytes for any number of processes
+(see ``_write_csv``).  Every text goes to a binary file: the output itself,
+or the temp file of the process that formatted it.  An episode's revenue
+columns are likewise built ``BLOCK_CHUNK`` rounds at a time.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ import numpy as np
 from .model import Instance, NoiseSpec, expected_demand_vec
 from .policies import Policy, make_policy
 
-# Longest run of rounds ``post_block`` handles with one set of numpy
-# temporaries.
+# Longest run of rounds ``post_block`` and ``_finish_record`` handle with
+# one set of numpy temporaries.
 BLOCK_CHUNK = 4096
-# Rows the CSV writer formats and writes at a time.
-CSV_ROWS = 16384
+# Cells the CSV writer formats and writes at a time, CSV_CELLS // columns
+# rows; also the rows of output per writer process (see ``_write_csv``).
+CSV_CELLS = 16384
 
 
 class SimEnv:
@@ -144,8 +148,14 @@ def _finish_record(
     refs: np.ndarray,
     demands: np.ndarray,
 ) -> EpisodeRecord:
-    expected = expected_demand_vec(inst, prices, refs)
-    expected_rev = prices * expected
+    """The episode's record: the revenue columns are filled ``BLOCK_CHUNK``
+    rounds at a time, elementwise as on whole arrays, and each total is one
+    ``np.sum`` over its whole column."""
+    expected_rev = np.empty(T)
+    for lo in range(0, T, BLOCK_CHUNK):
+        p = prices[lo : lo + BLOCK_CHUNK]
+        expected = expected_demand_vec(inst, p, refs[lo : lo + BLOCK_CHUNK])
+        np.multiply(p, expected, out=expected_rev[lo : lo + BLOCK_CHUNK])
     realized_rev = prices * demands
     return EpisodeRecord(
         policy_kind=policy.kind,
@@ -324,14 +334,14 @@ def _format_column(chunk: np.ndarray) -> list:
     return np.repeat(strings, np.diff(starts, append=len(chunk))).tolist()
 
 
-def _format_chunk(columns, lo: int, strings: dict) -> str:
-    """The text of rows ``lo`` to ``lo + CSV_ROWS - 1`` of ``columns`` (fewer
-    at the block's end), one column at a time.  ``strings`` maps a column
+def _format_chunk(columns, lo: int, rows: int, strings: dict) -> str:
+    """The text of rows ``lo`` to ``lo + rows - 1`` of ``columns`` (fewer at
+    the block's end), one column at a time.  ``strings`` maps a column
     chunk's (dtype, raw bytes) to its cells: a chunk found there is not
     formatted again, and every new one is added."""
     cells = []
     for column in columns:
-        chunk = np.ascontiguousarray(column[lo : lo + CSV_ROWS])
+        chunk = np.ascontiguousarray(column[lo : lo + rows])
         key = (chunk.dtype.str, chunk.tobytes())
         if key not in strings:
             strings[key] = _format_column(chunk)
@@ -339,9 +349,10 @@ def _format_chunk(columns, lo: int, strings: dict) -> str:
     return "\n".join(chain(map(",".join, zip(*cells)), ("",)))
 
 
-def _write_items(blocks, items, out) -> list:
-    """Format ``items``, (row offset, block) pairs, in order, into the binary
-    file ``out``; returns the lengths of their texts, in order.
+def _write_items(blocks, items, rows: int, out) -> list:
+    """Format ``items``, (row offset, block) pairs of chunks of ``rows`` rows,
+    in order, into the binary file ``out``; returns the lengths of their
+    texts, in order.
 
     The strings of the first item formatted at an offset are kept while the
     items that follow are at the same offset, and a later item's column chunk
@@ -356,28 +367,29 @@ def _write_items(blocks, items, out) -> list:
             strings = kept
         else:
             strings = dict(kept)
-        lengths.append(out.write(_format_chunk(blocks[b], lo, strings).encode()))
+        lengths.append(out.write(_format_chunk(blocks[b], lo, rows, strings).encode()))
     return lengths
 
 
-def _write_run(blocks, run, tmp, send) -> None:
+def _write_run(blocks, run, rows: int, tmp, send) -> None:
     """A helper process's work: format ``run`` into ``tmp`` and send the
     texts' lengths through the connection ``send``."""
-    lengths = _write_items(blocks, run, tmp)
+    lengths = _write_items(blocks, run, rows, tmp)
     tmp.flush()
     send.send(lengths)
 
 
-def _split(sizes, workers: int) -> tuple[list, list]:
-    """The ``CSV_ROWS`` chunks of blocks of ``sizes`` rows as (row offset,
-    block) items, in file order, and the same items offset-major (every
-    block's chunk at offset 0, then at ``CSV_ROWS``, ...) cut into
+def _split(sizes, rows: int, workers: int) -> tuple[list, list]:
+    """The chunks of ``rows`` rows of blocks of ``sizes`` rows as (row
+    offset, block) items, in file order, and the same items offset-major
+    (every block's chunk at offset 0, then at ``rows``, ...) cut into
     ``workers`` contiguous runs of about equal rows: run k starts at the item
-    boundary nearest row rows * k // ``workers`` of the list (the earlier on
-    a tie).  With ``workers`` at most rows // ``CSV_ROWS``, no run is empty."""
-    file_order = [(lo, b) for b, n in enumerate(sizes) for lo in range(0, n, CSV_ROWS)]
+    boundary nearest row R * k // ``workers`` of the list, R the total rows
+    (the earlier on a tie).  With ``workers`` at most R // ``rows``, no run
+    is empty."""
+    file_order = [(lo, b) for b, n in enumerate(sizes) for lo in range(0, n, rows)]
     items = sorted(file_order)
-    bounds = list(accumulate((min(CSV_ROWS, sizes[b] - lo) for lo, b in items), initial=0))
+    bounds = list(accumulate((min(rows, sizes[b] - lo) for lo, b in items), initial=0))
     cuts = []
     for k in range(workers):
         x = bounds[-1] * k // workers
@@ -397,9 +409,9 @@ def _copy(tmp, pos: int, length: int, out) -> None:
     out.write(data)
 
 
-def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
-    """Write the rows of ``blocks`` to the binary file ``f`` in ``workers``
-    processes.
+def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
+    """Write the rows of ``blocks`` to the binary file ``f``, in chunks of
+    ``rows`` rows, in ``workers`` processes.
 
     The items of ``_split`` are formatted run by run: run 0 by this process,
     every other by a helper forked before run 0 starts, so it inherits
@@ -416,7 +428,7 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
     running are terminated, and every helper is joined and every pipe and
     temp file closed before this returns or raises.
     """
-    file_order, runs = _split(sizes, workers)
+    file_order, runs = _split(sizes, rows, workers)
     # 1 when run 0 begins the file and goes straight into f, else 0.
     straight = int(runs[0] == file_order[: len(runs[0])])
     # A helper inherits f's buffer: it must be empty, or a flush in the
@@ -429,17 +441,17 @@ def _write_blocks(f, blocks, sizes, workers: int, directory) -> None:
             for _ in runs[straight:]:
                 temps.append(tempfile.TemporaryFile(dir=directory))
         except OSError:
-            _write_items(blocks, file_order, f)
+            _write_items(blocks, file_order, rows, f)
             return
         outs = [f] * straight + temps
         for run, tmp in zip(runs[1:], outs[1:]):
             receive, send = fork.Pipe(duplex=False)
             pipes += [receive, send]
-            helper = fork.Process(target=_write_run, args=(blocks, run, tmp, send))
+            helper = fork.Process(target=_write_run, args=(blocks, run, rows, tmp, send))
             helper.start()
             helpers.append(helper)
             send.close()  # so that a helper's death reads as EOF
-        lengths = [_write_items(blocks, runs[0], outs[0])]
+        lengths = [_write_items(blocks, runs[0], rows, outs[0])]
         for k, (helper, receive) in enumerate(zip(helpers, pipes[::2]), 1):
             try:
                 lengths.append(receive.recv())
@@ -486,7 +498,9 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
     entry: ints print as ints, floats in their shortest round-trip form.
 
-    The rows are formatted in chunks of ``CSV_ROWS``, one column at a time.
+    The rows are formatted in chunks of ``CSV_CELLS`` // C rows (at least
+    one), C the column count of the widest block, one column at a time: 2,048
+    rows of ``episodes.csv``, 5,461 of ``curve.csv``, 2,340 of ``regret.csv``.
     A distinct cell is formatted once where it repeats: a run of equal cells
     within a column shares one string, and a column chunk identical to an
     earlier one at the same row offset, in the same block or in an earlier
@@ -496,17 +510,19 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     ``episode`` and ``seed``) are formatted once per process.  Identical
     means the same dtype and the same raw bits, never ``==``: ``0.0`` and
     ``-0.0``, or two NaN payloads, never share a string.  A process holds the
-    strings of at most two chunks, however many blocks there are.
+    strings of at most two chunks and the text of one, however many rows,
+    columns and blocks there are.
 
     The chunks are split offset-major into W = min(``threads``,
-    rows // ``CSV_ROWS``) contiguous runs of about equal rows, so an output
-    under two chunks is written by this process alone.  With W > 1 this
-    process formats run 0 and W - 1 forked helpers the others; run 0 goes
-    straight into the file when it begins it, every other run through its
-    own temp file (see ``_write_blocks``).  W drops to 1 where this process
-    may not fork (``fork_usable``).  A cell's text does not depend on where
-    a chunk or a run begins, and the texts are written in file order, so the
-    bytes do not depend on W.
+    rows // ``CSV_CELLS``) contiguous runs of about equal rows, so an output
+    under 2 * ``CSV_CELLS`` rows is written by this process alone, whatever
+    its width, and no run is empty, since a chunk has at most ``CSV_CELLS``
+    rows.  With W > 1 this process formats run 0 and W - 1 forked helpers
+    the others; run 0 goes straight into the file when it begins it, every
+    other run through its own temp file (see ``_write_blocks``).  W drops to
+    1 where this process may not fork (``fork_usable``).  A cell's text does
+    not depend on where a chunk or a run begins, and the texts are written in
+    file order, so the bytes do not depend on W.
     """
     blocks = [[np.asarray(column) for column in columns] for columns in blocks]
     for columns in blocks:
@@ -514,14 +530,15 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
         if len(set(lengths)) > 1:
             raise ValueError(f"CSV block columns differ in length: {lengths}")
     sizes = [len(columns[0]) if columns else 0 for columns in blocks]
-    workers = max(1, min(threads, sum(sizes) // CSV_ROWS))
+    rows = max(1, CSV_CELLS // max([1, *map(len, blocks)]))
+    workers = max(1, min(threads, sum(sizes) // CSV_CELLS))
     if workers > 1 and not fork_usable():
         workers = 1
     with open(path, "wb") as f:
         for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n".encode())
         f.write((header + "\n").encode())
-        _write_blocks(f, blocks, sizes, workers, os.path.dirname(os.path.abspath(path)))
+        _write_blocks(f, blocks, sizes, rows, workers, os.path.dirname(os.path.abspath(path)))
         for line in footer:
             f.write((line + "\n").encode())
 

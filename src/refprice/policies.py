@@ -243,6 +243,11 @@ class LearnGreedyState:
         scalar calls leave it.  Otherwise (gaussian shocks, whose ziggurat
         takes a variable number of words; a sign generator of its own; any
         other bit generator) each draw is one scalar call.
+
+        A price or reference out of range raises ``DomainError`` as the
+        round-by-round loop does: the env's ``t``, ``total`` and ``r`` and
+        the learner's state are left after the last round posted, and
+        ``reset_rounds`` does not count the plan that failed.
         """
         inst, noise, T, rng = env.inst, env.noise, env.T, env.rng
         a, b, eta_plus, eta_minus = inst.a, inst.b, inst.eta_plus, inst.eta_minus
@@ -273,7 +278,6 @@ class LearnGreedyState:
                 else:
                     extreme, n, correction = _reset_plan(t, r, r_target, p_max)
                     m = min(n + 1, T - t + 1)
-                    self.reset_rounds += m
                     if m >= BLOCK_CUTOVER:
                         if buffered:
                             bitgen.advance(-len(buf))
@@ -281,8 +285,11 @@ class LearnGreedyState:
                         plan = np.full(m, extreme)
                         plan[n:] = correction  # nothing when the horizon cut the plan
                         env.t, env.total, env.r = t, total, r
-                        env.post_block(plan)
-                        t, total, r = env.t, env.total, env.r
+                        try:
+                            env.post_block(plan)
+                        finally:  # it may raise after posting a chunk
+                            t, total, r = env.t, env.total, env.r
+                        self.reset_rounds += m
                         continue
                     plan = [extreme] * n + [correction] if m > n else [extreme] * m
                 if buffered and len(buf) <= m:  # m rounds take at most m + 1 draws
@@ -313,11 +320,13 @@ class LearnGreedyState:
                     if p_top < p_hat:
                         p_hat = p_top
                     s += 1
+                else:
+                    self.reset_rounds += m
         finally:
             if buffered:
                 bitgen.advance(-len(buf))
-        env.t, env.total, env.r = t, total, r
-        self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
+            env.t, env.total, env.r = t, total, r
+            self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 
     def estimate(self) -> float:
         if self.s == 1:

@@ -13,11 +13,14 @@ r1 + cumsum(prices): the T = 300 baseline and its mean regret moved by
 5.7e-14 (1.7e-16 relative), and nothing else changed.
 
 ``episodes_two_price_noiseless`` and ``curve_long`` were captured from the
-row-by-row writer, before the writer went chunked.  They are the two cases
-longer than one ``CSV_ROWS`` chunk (16,384 rows), so chunk boundaries fall
-inside their blocks.  The first has a two-valued price column and, without
-noise, a ``realized_revenue`` column bit-identical to ``expected_revenue``;
-the second has the curve's long hold phase at p_max.
+row-by-row writer, before the writer went chunked.  They were the two cases
+longer than its first chunks of 16,384 rows; chunks of ``CSV_CELLS`` cells
+(2,048 rows of ``episodes.csv``, 5,461 of ``curve.csv``) end inside their
+blocks many times, and once inside each 3,000-round episode of
+``episodes_two_price`` and ``episodes_learner_t2``.  The first has a
+two-valued price column and, without noise, a ``realized_revenue`` column
+bit-identical to ``expected_revenue``; the second has the curve's long hold
+phase at p_max.
 
 ``episodes_two_price_noisy_long`` was captured before the writer came to
 reuse a column chunk across episodes.  Its three noisy episodes share the
@@ -124,9 +127,9 @@ def test_csv_matches_golden(tmp_path, name):
     ],
 )
 def test_csv_golden_does_not_depend_on_threads(tmp_path, monkeypatch, name, threads):
-    """Every output here has at least ``threads`` ``CSV_ROWS`` chunks of
-    rows, so ``--threads`` n forks n - 1 helpers, each for a run of about
-    1/n of the rows; ``--threads 1`` starts no process at all."""
+    """Every output here has at least ``threads`` * ``CSV_CELLS`` rows, so
+    ``--threads`` n forks n - 1 helpers, each for a run of about 1/n of the
+    rows; ``--threads 1`` starts no process at all."""
     starts = []
     start = multiprocessing.process.BaseProcess.start
 

@@ -16,6 +16,7 @@ from refprice import (
     Instance,
     NoiseSpec,
     clairvoyant_value,
+    make_policy,
     regret_sweep,
     run_episode,
     revenue,
@@ -25,7 +26,7 @@ from refprice.curve import harmonic_range
 from refprice.config import load_config
 from refprice.harness import (
     BLOCK_CHUNK,
-    CSV_ROWS,
+    CSV_CELLS,
     RegretRecord,
     SimEnv,
     _write_csv,
@@ -429,21 +430,22 @@ def _assert_writes_like_rowwise(out, blocks, threads):
     assert (out / "chunked.csv").read_text() == (out / "rowwise.csv").read_text()
 
 
-@pytest.mark.parametrize("rows", [1, 3, CSV_ROWS])
+@pytest.mark.parametrize("cells", [1, 3, 12, CSV_CELLS])
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(data=st.data())
-def test_write_csv_matches_rowwise_writer(tmp_path_factory, rows, data):
+def test_write_csv_matches_rowwise_writer(tmp_path_factory, cells, data):
     """Byte for byte the row loop's output, for any chunk size and any
-    number of runs; with 1- and 3-row chunks, 2 and 3 threads split the
-    chunks into up to that many runs, wherever the boundaries fall, and
+    number of runs; with budgets of 1, 3 and 12 cells (chunks of 1 to 12
+    rows, as the widest block has 1 to 6 columns), 2 and 3 threads split
+    the chunks into up to that many runs, wherever the boundaries fall, and
     blocks that copy earlier ones exercise the reuse across blocks.  The
-    blocks hold at most 160 rows, under two default chunks, so at the
-    default chunk size every thread count writes in this process alone and
+    blocks hold at most 160 rows, under 2 * ``CSV_CELLS``, so at the
+    default budget every thread count writes in this process alone and
     only 1 is tried."""
     blocks = _csv_blocks(data)
     out = tmp_path_factory.getbasetemp()
-    with mock.patch.object(harness, "CSV_ROWS", rows):
-        for threads in (1, 2, 3) if rows < CSV_ROWS else (1,):
+    with mock.patch.object(harness, "CSV_CELLS", cells):
+        for threads in (1, 2, 3) if cells < CSV_CELLS else (1,):
             _assert_writes_like_rowwise(out, blocks, threads)
 
 
@@ -463,15 +465,16 @@ def _episode_block(i, n):
     return [np.broadcast_to(i, n), np.arange(1, n + 1), np.arange(n) / (i + 7.0)]
 
 
-# name -> (CSV_ROWS, blocks, threads, items in each run)
+# name -> (CSV_CELLS, blocks, threads, items in each run).  Budgets of 12
+# and 6 cells make 3-row chunks of the 4- and 2-column blocks.
 SHARE_CASES = {
-    # Run 1 starts inside the block, at its third 3-row chunk.
-    "share_splits_block": (3, [_csv_block_fixed(10)], 2, [2, 2]),
-    # Identical blocks: run 1 starts at the second offset, after block 1's
-    # first chunk, so both processes reuse a chunk across blocks.
-    "boundary_on_block_boundary": (3, [_csv_block_fixed(6), _csv_block_fixed(6)], 2, [2, 2]),
+    # Run 1 starts inside the block, at its fifth 3-row chunk.
+    "share_splits_block": (12, [_csv_block_fixed(24)], 2, [4, 4]),
+    # Identical blocks: run 1 starts at the third offset, after block 1's
+    # second chunk, so both processes reuse chunks across blocks.
+    "boundary_on_block_boundary": (12, [_csv_block_fixed(12), _csv_block_fixed(12)], 2, [4, 4]),
     # Every boundary falls inside one run of equal prices.
-    "boundary_inside_run": (3, [_run_block(12)], 3, [1, 2, 1]),
+    "boundary_inside_run": (6, [_run_block(18)], 3, [2, 2, 2]),
     "zero_row_blocks": (
         1,
         [_run_block(0), _csv_block_fixed(7), _run_block(0), _run_block(7, -0.0), _run_block(0)],
@@ -480,24 +483,24 @@ SHARE_CASES = {
     ),
     "python_lists": (1, [[[0.1 * i for i in range(9)], list(range(9))]], 3, [3, 3, 3]),
     # Identical blocks whose offset-0 chunks are split between the runs:
-    # run 1 formats block 2's afresh, and its last chunks are 1 row long.
-    "identical_blocks_split_at_an_offset": (3, [_csv_block_fixed(4)] * 3, 2, [2, 4]),
+    # run 1 formats block 4's afresh, and its last chunks are 1 row long.
+    "identical_blocks_split_at_an_offset": (12, [_csv_block_fixed(4)] * 6, 2, [4, 8]),
     # 1000 episodes of T = 100, each one chunk: the runs cut the offset-0
     # chunks between blocks, so the output is still written in parallel.
-    "many_short_blocks": (CSV_ROWS, [_episode_block(i, 100) for i in range(1000)], 3, [333, 334, 333]),
+    "many_short_blocks": (CSV_CELLS, [_episode_block(i, 100) for i in range(1000)], 3, [333, 334, 333]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARE_CASES))
 def test_write_csv_shares_at_edges(tmp_path, monkeypatch, name):
-    rows, blocks, threads, run_items = SHARE_CASES[name]
-    monkeypatch.setattr(harness, "CSV_ROWS", rows)
+    cells, blocks, threads, run_items = SHARE_CASES[name]
+    monkeypatch.setattr(harness, "CSV_CELLS", cells)
     runs, starts = [], []
     split = harness._split
     start = multiprocessing.process.BaseProcess.start
 
-    def split_spy(sizes, workers):
-        file_order, out = split(sizes, workers)
+    def split_spy(sizes, rows, workers):
+        file_order, out = split(sizes, rows, workers)
         runs.append(out)
         return file_order, out
 
@@ -517,9 +520,8 @@ def test_split_is_offset_major():
     """Every block's chunk at an offset, then the next offset; the file
     order is block by block.  The 9 rows split at row 4, an item boundary;
     row 5 would split at the nearer of rows 4 and 6, the earlier on a tie."""
-    with mock.patch.object(harness, "CSV_ROWS", 2):
-        file_order, runs = harness._split([3, 0, 5, 1], 2)
-        assert harness._split([3, 0, 5, 3], 2)[1][0] == [(0, 0), (0, 2)]
+    file_order, runs = harness._split([3, 0, 5, 1], 2, 2)
+    assert harness._split([3, 0, 5, 3], 2, 2)[1][0] == [(0, 0), (0, 2)]
     assert file_order == [(0, 0), (2, 0), (0, 2), (2, 2), (4, 2), (0, 3)]
     assert runs == [[(0, 0), (0, 2)], [(0, 3), (2, 0), (2, 2), (4, 2)]]
 
@@ -530,11 +532,11 @@ def _failing_items(fail_run0, fail_helper):
     write_items = harness._write_items
     parent = os.getpid()
 
-    def write(blocks, items, out):
+    def write(blocks, items, rows, out):
         fail = fail_run0 if os.getpid() == parent else fail_helper
         if fail is not None:
             fail()
-        return write_items(blocks, items, out)
+        return write_items(blocks, items, rows, out)
 
     return write
 
@@ -556,7 +558,7 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
     cannot be made there, so this process formats every chunk in file order
     straight into the file and starts no process.  Root ignores the
     directory's mode, so the refusal is also made by ``tempfile``."""
-    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "CSV_CELLS", 1)
     starts = []
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
 
@@ -579,7 +581,7 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
 
 def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
     """Forking a process with threads is unsafe: this process writes alone."""
-    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "CSV_CELLS", 1)
     starts = []
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
     stop = threading.Event()
@@ -621,7 +623,7 @@ def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch)
     "fail_helper, code", [(_raise, 1), (lambda: os._exit(7), 7)], ids=["raises", "dies"]
 )
 def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper, code):
-    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "CSV_CELLS", 1)
     monkeypatch.setattr(harness, "_write_items", _failing_items(None, fail_helper))
     with pytest.raises(OSError, match=f"CSV writer process 1 .*exited with code {code}"):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
@@ -631,7 +633,7 @@ def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper,
 
 def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
     """The helpers would sleep a minute: they are terminated, not waited for."""
-    monkeypatch.setattr(harness, "CSV_ROWS", 1)
+    monkeypatch.setattr(harness, "CSV_CELLS", 1)
     monkeypatch.setattr(harness, "_write_items", _failing_items(_raise, lambda: time.sleep(60)))
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="injected"):
@@ -650,7 +652,7 @@ def test_second_noiseless_episode_formats_no_float_column(tmp_path, monkeypatch)
     """Without noise a planned episode repeats bit for bit: the second one
     formats only its ``episode`` and ``seed`` columns, both all 1s, so one
     int column per chunk."""
-    records = _two_price_records([0, 1], 3 * CSV_ROWS + 5)
+    records = _two_price_records([0, 1], 3 * (CSV_CELLS // 8) + 5)
     formatted = []
     format_column = harness._format_column
 
@@ -681,7 +683,7 @@ def _traced_peak(fn):
 def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, distinct):
     """8 blocks, identical or all distinct, peak within the 1-block peak plus
     one chunk's strings (the chunk kept for reuse at each offset)."""
-    monkeypatch.setattr(harness, "CSV_ROWS", 2000)
+    monkeypatch.setattr(harness, "CSV_CELLS", 10000)  # 2,000 rows of 5 columns
     rng = np.random.default_rng(0)
 
     def block():
@@ -694,7 +696,7 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
     strings = {}
 
     def keep_one_chunk():
-        harness._format_chunk(first, 0, strings)
+        harness._format_chunk(first, 0, 2000, strings)
 
     tracemalloc.start()
     try:
@@ -705,11 +707,46 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
     assert eight <= one + chunk
 
 
+@pytest.mark.parametrize("width", [8, 3])
+def test_write_csv_memory_is_bounded_by_the_cell_budget(tmp_path, width):
+    """One block of 50,000 rows of distinct floats, in 8 or 3 columns: a
+    chunk holds at most ``CSV_CELLS`` cells, and the writer's peak is within
+    two chunks' strings plus one chunk's text, whatever the row and column
+    counts."""
+    block = list(np.random.default_rng(0).random((width, 50000)))
+    rows = CSV_CELLS // width
+    strings = {}
+    tracemalloc.start()
+    try:
+        harness._format_chunk(block, 0, rows, strings)
+        chunk = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, strings.values())) <= CSV_CELLS
+    text = len(harness._format_chunk(block, 0, rows, {}))
+    peak = _traced_peak(lambda: _write_csv(tmp_path / "out.csv", {}, "h", [block]))
+    assert peak <= 2 * chunk + text
+
+
+def test_finish_record_memory_is_bounded_by_the_block_chunk(inst_symmetric):
+    """Over its outputs (``t`` and the two revenue columns, 24 B a round),
+    ``_finish_record`` holds a few ``BLOCK_CHUNK``-round temporaries at
+    most, not T-round ones: not even a T-round boolean mask."""
+    inst, T, r1 = inst_symmetric, 64 * BLOCK_CHUNK + 7, 0.4
+    rng = np.random.default_rng(0)
+    policy = make_policy({"kind": "two_price", "alpha": 0.3}, inst, T, r1, rng)
+    env = SimEnv(inst, NoiseSpec.bounded_uniform(0.1), T, r1, rng)
+    policy.play(env)
+    args = (inst, policy, 0, T, r1, env.prices, env.refs, env.demands)
+    peak = _traced_peak(lambda: harness._finish_record(*args))
+    assert peak - 24 * T <= 4 * 8 * BLOCK_CHUNK
+
+
 def test_write_csv_one_temp_file_per_process(tmp_path, monkeypatch):
     """3 processes: 3 temp files for 50 blocks of 3 chunks, whatever the
     block count, and 2 where run 0 begins the file and goes straight into
     it: one block, or 50 blocks of one chunk each."""
-    monkeypatch.setattr(harness, "CSV_ROWS", 10)
+    monkeypatch.setattr(harness, "CSV_CELLS", 30)  # 10 rows of 3 columns
     made = []
     temporary_file = tempfile.TemporaryFile
 

@@ -446,7 +446,9 @@ def test_kernel_out_of_range_price_leaves_the_generator_as_the_block_loop(noise)
     # A learning round at r1 = r_target draws its sign and shock; then the
     # reset plan's correction, above the instance's p_max, fails with
     # DomainError.  The kernel's unused buffered draws are given back on the
-    # way out, so the generator is where the block loop left it.
+    # way out, so the generator is where the block loop left it, and the
+    # env and the learner are left after the learning round, with the
+    # failed plan not counted.
     sides = []
     for cls in (LearnGreedyState, BlockLearner):
         rng = np.random.default_rng(5)
@@ -457,7 +459,16 @@ def test_kernel_out_of_range_price_leaves_the_generator_as_the_block_loop(noise)
                 learner.run(env)
             else:
                 run_blocks(learner, env)
-        sides.append((env.prices[:1].tobytes(), env.demands[:1].tobytes(), rng.bit_generator.state))
+        sides.append(
+            (
+                env.prices[:1].tobytes(),
+                env.demands[:1].tobytes(),
+                rng.bit_generator.state,
+                [x.hex() for x in (env.total, env.r, learner.p_hat, learner.sum_iterates)],
+                (env.t, learner.s, learner.reset_rounds),
+            )
+        )
+    assert sides[0][4] == (2, 2, 0)
     assert sides[0] == sides[1]
 
 
