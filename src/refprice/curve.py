@@ -14,15 +14,18 @@ S_t = t * r_t is the running total of prices:
 
     x_{t+1} = M_t x_t,      M_t = [[1, -c1 / (t (t + 1 + c1))], [1, 1]],
 
-so a whole solve is a product of 2x2 maps.  ``solve_curve`` forms those
-products with log-depth doubling scans in numpy, ``CHUNK`` rounds at a time,
-and never loops over rounds in Python.  The scalar recursion it replaced lives
-on in ``refprice.validate`` as the oracle for the scan.
+so a whole solve is a product of 2x2 maps, each the step (p, S) -> (p + e S, S + p)
+with e = M_t[0, 1].  Pulled back through M_t, a covector (u, v) becomes
+(u + v, e u + v): the same step on the swapped pair (v, u).  So one primitive,
+``_roll``, serves both passes of ``solve_curve``: rolled backward, the covector
+of the final-round condition finds the markdown start; rolled forward, the
+state gives the segment.  ``refprice.validate``'s scalar recursion is its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .model import PolicyParams
 # as feasible; they are snapped onto the boundary.
 FEASIBILITY_TOL = 1e-12
 
-# Rounds per chunk of a scan: temporaries stay O(CHUNK) whatever the horizon.
+# Rounds per roll of a pass: temporaries stay O(CHUNK) whatever the horizon.
 CHUNK = 1 << 14
 
 
@@ -71,56 +74,36 @@ class PriceCurve:
         return self.t_start + len(self.prices) - 1
 
 
-def _maps(c1: float, lo: int, hi: int) -> list[np.ndarray]:
-    """Entries (a, b, c, d) of the maps M_t for t in [lo, hi), one array each."""
-    t = np.arange(lo, hi, dtype=float)
-    return [np.ones_like(t), -c1 / (t * (t + 1.0 + c1)), np.ones_like(t), np.ones_like(t)]
+def _roll(e, p, s, out_p, out_s):
+    """Roll the state (p, s) through the steps (p, s) -> (p + e_i*s, s + p),
+    writing the state after step i to out_p[i] and out_s[i]; returns the
+    last state.
 
-
-def _mul(x, y, out, tmp):
-    """Products x @ y of 2x2 matrices given by their entries (a, b, c, d),
-    written into the four arrays ``out``; ``tmp`` is a work array of their
-    length.  Entry a is xa*ya + xb*yc, summed in that order, and so on."""
-    xa, xb, xc, xd = x
-    ya, yb, yc, yd = y
-    terms = ((xa, ya, xb, yc), (xa, yb, xb, yd), (xc, ya, xd, yc), (xc, yb, xd, yd))
-    for dst, (u, v, w, z) in zip(out, terms):
-        np.multiply(u, v, out=dst)
-        np.multiply(w, z, out=tmp)
-        dst += tmp
-    return out
-
-
-def _left(y, m):
-    """Covector y = (u, v) times the 2x2 matrix (or matrices) m."""
-    return y[0] * m[0] + y[1] * m[2], y[0] * m[1] + y[1] * m[3]
-
-
-def _scan(m: list[np.ndarray], forward: bool) -> list[np.ndarray]:
-    """Running products of the maps m in place, by log-depth doubling: entry
-    i becomes M_i ... M_0 when ``forward``, else M_{n-1} ... M_i.  Each
-    step's products go to buffers allocated once per call."""
-    n = len(m[0])
-    buf, tmp = np.empty((4, n)), np.empty(n)
-    step = 1
-    while step < n:
-        k = n - step
-        prods = _mul([x[step:] for x in m], [x[:-step] for x in m], buf[:, :k], tmp[:k])
-        dst = slice(step, None) if forward else slice(None, -step)
-        for x, p in zip(m, prods):
-            x[dst] = p
-        step *= 2
-    return m
-
-
-def _product(m: list[np.ndarray]) -> list[float]:
-    """M_{n-1} ... M_0 of the maps m, by pairwise reduction."""
-    while len(m[0]) > 1:
-        if len(m[0]) % 2:
-            m = [np.append(x, e) for x, e in zip(m, (1.0, 0.0, 0.0, 1.0))]
-        k = len(m[0]) // 2
-        m = _mul([x[1::2] for x in m], [x[::2] for x in m], np.empty((4, k)), np.empty(k))
-    return [float(x[0]) for x in m]
+    The n steps are cut into blocks of isqrt(n/8), and all blocks are stepped
+    at once from the basis states (1, 0) and (0, 1), one numpy operation per
+    step.  A short loop chains the block starts, and each round's state is
+    then its block's start combined with the two basis paths."""
+    n = len(e)
+    b = max(1, isqrt(n // 8))
+    k = -(-n // b)
+    # steps[j, i] is step j of block i; the last block is padded with
+    # repeats of e, which no output reads.
+    steps = np.resize(e, (k, b)).T.copy()
+    # (ps, ss)[j, 0, i]: block i after step j from (1, 0); [j, 1, i] from (0, 1).
+    ps, ss = np.empty((b, 2, k)), np.empty((b, 2, k))
+    ps[0, 0], ps[0, 1], ss[0] = 1.0, steps[0], 1.0
+    for j in range(1, b):
+        ps[j] = ps[j - 1] + steps[j] * ss[j - 1]
+        ss[j] = ss[j - 1] + ps[j - 1]
+    ends = (x.tolist() for x in (ps[-1, 0], ps[-1, 1], ss[-1, 0], ss[-1, 1]))
+    starts = []
+    for pa, pb, sa, sb in zip(*ends):
+        starts.append((p, s))
+        p, s = pa * p + pb * s, sa * p + sb * s
+    p0s, s0s = np.array(starts).T
+    for paths, out in ((ps, out_p), (ss, out_s)):
+        out[:] = (paths[:, 0] * p0s + paths[:, 1] * s0s).T.ravel()[:n]
+    return float(out_p[-1]), float(out_s[-1])
 
 
 def solve_curve(
@@ -128,23 +111,21 @@ def solve_curve(
 ) -> PriceCurve:
     """The markdown curve over [t_start, horizon] from reference r_start.
 
-    Three chunked passes over the maps M_t, with w = (1, -c1/T) the
-    covector of the final-round condition w . x_T = c2:
+    Two passes of ``_roll``, ``CHUNK`` rounds at a time, with w = (1, -c1/T)
+    the covector of the final-round condition w . x_T = c2:
 
-    1. From round T down, the covector y_s = w M_{T-1} ... M_s is carried
-       to each chunk boundary, until the system on [s, T] stops being
+    1. From round T down, the covector (u_s, v_s) = w M_{T-1} ... M_s of
+       each round s, rolled as (v, u), until the system on [s, T] stops being
        diagonally dominant (c1 * sum_{j>s} 1/j >= 1).  The margin only
-       shrinks as s falls, so no earlier round can start the markdown.
-    2. Chunk by chunk from there up, the suffix products give (u_s, v_s) =
-       y_s for every round s at once, and with it the segment's initial
-       price p_s = (c2 - v_s * S_s) / u_s, where S_s is the running total
-       after a plateau at p_max.  The markdown start m is the first round
-       with |u_s| >= 1e-12 and p_s in [0, p_max] up to FEASIBILITY_TOL.
-    3. The segment is rolled forward from x_m = (p_m, S_m) into the output
-       arrays by prefix products.  Then p_m is snapped onto [0, p_max], the
-       final price takes its closed form c1*r_T + c2, and a running minimum
-       makes the prices exactly non-increasing, so that the final price is
-       min(c1*r_T + c2, p_{T-1}).
+       shrinks as s falls, so no earlier round can start the markdown.  Each
+       dominant round gives the initial price p_s = (c2 - v_s * S_s) / u_s,
+       S_s the running total after a plateau at p_max.  The markdown start m
+       is the lowest round with |u_s| >= 1e-12 and p_s in [0, p_max] up to
+       FEASIBILITY_TOL.
+    2. The segment is rolled forward from x_m = (p_m, S_m).  Then p_m is
+       snapped onto [0, p_max], the final price takes its closed form
+       c1*r_T + c2, and a running minimum makes the prices exactly
+       non-increasing: the final price is min(c1*r_T + c2, p_{T-1}).
 
     Raises SolverError when no round can start the markdown.
     """
@@ -158,55 +139,44 @@ def solve_curve(
     n = horizon - t_start + 1
     prices, refs = np.empty(n), np.empty(n)
 
-    # Pass 1: chunks [lo, hi) of dominant starts, highest first, with y_hi.
-    chunks = []
-    y, tail, hi = (1.0, -c1 / horizon), 0.0, horizon
-    while hi > t_start:
-        lo = max(hi - CHUNK, t_start)
-        # tails[i] = sum_{j > lo+i} 1/j, summed from round T down.
-        tails = np.cumsum(np.append(tail, 1.0 / np.arange(hi, lo, -1.0)))[::-1]
-        dominant = c1 * tails[:-1] < 1.0
-        if not dominant[0]:
-            chunks.append((hi - int(np.count_nonzero(dominant)), hi, y))
-            break
-        chunks.append((lo, hi, y))
-        tail = tails[0]
-        if lo > t_start:
-            y = _left(y, _product(_maps(c1, lo, hi)))
-        hi = lo
-
-    # Pass 2: the first feasible start, ascending; round T closes the list.
+    # Pass 1, rounds [lo, hi) from the top; round T is the last resort.
     base = t_start * r_start
     lo_p, hi_p = -FEASIBILITY_TOL, p_max + FEASIBILITY_TOL
-    start, p0 = horizon, c2 + c1 / horizon * (base + (horizon - t_start) * p_max)
-    for lo, hi, y in reversed(chunks):
-        u, v = _left(y, _scan(_maps(c1, lo, hi), forward=False))
-        s = np.arange(lo, hi, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = (c2 - v * (base + (s - t_start) * p_max)) / u
-        feasible = (np.abs(u) >= 1e-12) & (lo_p <= p) & (p <= hi_p)
-        if feasible.any():
-            i = int(np.argmax(feasible))
-            start, p0 = lo + i, float(p[i])
+    p0 = c2 + c1 / horizon * (base + (horizon - t_start) * p_max)
+    start = horizon if lo_p <= p0 <= hi_p else None
+    v, u, tail, hi = -c1 / horizon, 1.0, 0.0, horizon
+    while hi > t_start:
+        lo = max(hi - CHUNK, t_start)
+        # tails[i] = sum_{j > hi-i} 1/j, summed from round T down.
+        tails = np.cumsum(np.append(tail, 1.0 / np.arange(hi, lo, -1.0)))
+        m = int(np.count_nonzero(c1 * tails[1:] < 1.0))
+        if not m:
             break
-    else:
-        if not lo_p <= p0 <= hi_p:
-            raise SolverError("no feasible markdown start")
+        s = np.arange(hi - 1.0, hi - 1.0 - m, -1.0)
+        vs, us = prices[:m], refs[:m]  # scratch: pass 2 overwrites both
+        v, u = _roll(-c1 / (s * (s + 1.0 + c1)), v, u, vs, us)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = (c2 - vs * (base + (s - t_start) * p_max)) / us
+        feasible = (np.abs(us) >= 1e-12) & (lo_p <= p) & (p <= hi_p)
+        if feasible.any():
+            i = m - 1 - int(np.argmax(feasible[::-1]))
+            start, p0 = hi - 1 - i, float(p[i])
+        if m < hi - lo:
+            break
+        tail, hi = tails[-1], lo
+    if start is None:
+        raise SolverError("no feasible markdown start")
 
-    # Pass 3: the plateau, then the segment rolled forward from x_m.
+    # Pass 2: the plateau, then the segment rolled forward from x_m.
     i0 = start - t_start
     prices[:i0] = p_max
-    t = np.arange(t_start, start + 1, dtype=float)
-    refs[: i0 + 1] = (base + (t - t_start) * p_max) / t
-    prices[i0] = p0
+    refs[: i0 + 1] = (base + np.arange(i0 + 1.0) * p_max) / np.arange(t_start, start + 1.0)
     x = (p0, base + i0 * p_max)
     for lo in range(start, horizon, CHUNK):
-        hi = min(lo + CHUNK, horizon)
-        a, b, c, d = _scan(_maps(c1, lo, hi), forward=True)
-        p, total = a * x[0] + b * x[1], c * x[0] + d * x[1]
-        prices[lo + 1 - t_start : hi + 1 - t_start] = p
-        refs[lo + 1 - t_start : hi + 1 - t_start] = total / np.arange(lo + 1.0, hi + 1.0)
-        x = (p[-1], total[-1])
+        s = np.arange(lo, min(lo + CHUNK, horizon), dtype=float)
+        out = slice(lo + 1 - t_start, lo + 1 - t_start + len(s))
+        x = _roll(-c1 / (s * (s + 1.0 + c1)), *x, prices[out], refs[out])
+        refs[out] /= s + 1.0
     if start < horizon:
         prices[-1] = c1 * refs[-1] + c2
     prices[i0] = min(max(p0, 0.0), p_max)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import Instance, NoiseSpec, expected_demand_vec
-from .policies import Policy, make_policy
+from .policies import PlannedPolicy, Policy, make_policy
 
 # Longest run of rounds ``post_block`` and ``_finish_record`` handle with
 # one set of numpy temporaries.
@@ -66,7 +66,7 @@ class SimEnv:
         noise: NoiseSpec,
         T: int,
         r1: float,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
     ):
         if not (0.0 <= r1 <= inst.p_max):
             raise ValueError(f"r1 {r1} outside [0, {inst.p_max}]")
@@ -186,8 +186,13 @@ def run_episode(
     """Simulate one episode.  ``policy`` is a config mapping (a fresh policy is
     built) or an already-built Policy.  A learner is for one episode only; a
     planned policy (every kind but ``learn_then_earn``) posts its fixed path
-    and may be reused for any number of episodes."""
-    rng = np.random.default_rng(seed)
+    and may be reused for any number of episodes.  A noiseless planned
+    episode draws nothing, so it builds no generator: that would load
+    ``numpy.random``."""
+    planned = isinstance(policy, PlannedPolicy) or (
+        isinstance(policy, dict) and policy["kind"] != "learn_then_earn"
+    )
+    rng = None if planned and noise.kind == "none" else np.random.default_rng(seed)
     if isinstance(policy, dict):
         policy = make_policy(policy, inst, T, r1, rng)
     env = SimEnv(inst, noise, T, r1, rng)

@@ -1,20 +1,21 @@
 """Cross-oracle consistency checks backing the ``validate`` CLI command.
 
 Each check pits a fast implementation against an independent slow oracle:
-dense linear solve vs the scan's segment and the scalar O(T) recursion, the
-scan's markdown start vs linear scan, closed-form reset plans vs brute force,
-and the optimality-condition residual of solved curves.  The gradient check
-tests the learner's one-point estimate in closed form: its kappa-average
-against the analytic derivative, and the mean of each shock kind against a
-bound with a stated false-alarm rate.  The slow oracles themselves live
-here, outside the production path: the dense system, the scalar recursion
-(``solve_segment``, ``curve_from_markdown_start`` and the backward sweep
-``scalar_solve_curve``, the solver the scan replaced), the linear scan and
-the brute-force reset.  The linear scan decides each candidate start from
-its segment's initial price alone, the value ``curve_from_markdown_start``
-tests, and builds no curve; it rolls a chunk of starts at once, each start's
-initial price bit-identical to ``segment_initial_price``'s.  The brute-force
-reset tests a chunk of plan lengths per numpy pass.
+dense linear solve vs ``solve_curve``'s segment and the scalar O(T)
+recursion, ``solve_curve``'s markdown start vs linear scan, closed-form reset
+plans vs brute force, and the optimality-condition residual of solved curves.
+The gradient check tests the learner's one-point estimate in closed form: its
+kappa-average against the analytic derivative, and the mean of each shock
+kind against a bound with a stated false-alarm rate.  The slow oracles
+themselves live here, outside the production path: the dense system, the
+scalar recursion (``solve_segment``, ``curve_from_markdown_start`` and the
+backward sweep ``scalar_solve_curve``, the oracle for ``solve_curve``), the
+linear scan and the brute-force reset.  The linear scan decides each
+candidate start from its segment's initial price alone, the value
+``curve_from_markdown_start`` tests, and builds no curve; it rolls a chunk of
+starts at once, each start's initial price bit-identical to
+``segment_initial_price``'s.  The brute-force reset tests a chunk of plan
+lengths per numpy pass.
 
 ``run_all`` runs the checks one after another in this process, from one
 generator.  The dense check uses the BLAS thread count of its process: CLI
@@ -363,7 +364,8 @@ def random_theta(rng: np.random.Generator, p_max: float) -> PolicyParams:
 
 
 def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
-    """Dense solve of random segments vs the scalar recursion and the scan."""
+    """Dense solve of random segments vs the scalar recursion and
+    ``solve_curve``."""
     worst = 0.0
     for _ in range(n_cases):
         p_max = rng.uniform(0.6, 2.0)
@@ -379,10 +381,10 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
         dense = dense_solve(system)
         scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
         # Started at markdown_start under a ceiling above every price, the
-        # scan's curve is the segment alone.
+        # solved curve is the segment alone.
         ceiling = 2.0 * max(r_md, dense.max())
-        scan = solve_curve(theta, r_md, markdown_start, horizon, ceiling)
-        for fast in (scalar, scan.prices):
+        curve = solve_curve(theta, r_md, markdown_start, horizon, ceiling)
+        for fast in (scalar, curve.prices):
             worst = max(worst, float(np.max(np.abs(dense - fast))))
     return CheckResult(
         "dense_vs_recursion", worst <= ORACLE_TOL, f"max abs diff {worst:.3e}"
@@ -392,8 +394,8 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
 def check_binary_vs_linear(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
 ) -> CheckResult:
-    """Markdown start of ``solve_curve``'s scan vs the exhaustive linear
-    scan, on random symmetric and asymmetric instances."""
+    """Markdown start of ``solve_curve``'s backward pass vs the exhaustive
+    linear scan, on random symmetric and asymmetric instances."""
     mismatches = 0
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))

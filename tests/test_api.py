@@ -91,6 +91,21 @@ def test_cli_import_loads_no_numpy_random():
     assert run_fresh("import sys, refprice.cli; print('numpy.random' in sys.modules)") == "False\n"
 
 
+def test_noiseless_planned_simulate_loads_no_numpy_random(tmp_path):
+    # A planned path without noise draws nothing, so no episode builds a
+    # generator.
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "two_price_gap.yaml")
+    args = ["simulate", "--config", config, "--out", str(tmp_path), "run.T=50", "run.seeds=2"]
+    code = f"""
+import sys
+from refprice.cli import main
+assert main({args!r}) == 0
+print('numpy.random' in sys.modules)
+"""
+    assert run_fresh(code).splitlines()[-1] == "False"
+    assert (tmp_path / "episodes.csv").exists()
+
+
 def test_every_name_and_submodule_resolves_after_a_bare_import():
     code = f"""
 import importlib, refprice

@@ -30,7 +30,7 @@ from refprice.validate import (
 VALIDATE_GOLDEN = """\
 PASS dense_vs_recursion: max abs diff 4.663e-15
 PASS binary_vs_linear_scan: 0 mismatches in 100 cases
-PASS foc_residual: max residual 2.365e-14
+PASS foc_residual: max residual 6.439e-15
 PASS reset_brute_force: 0 plan mismatches, max target error 1.656e-13
 PASS gradient_unbiased: max kappa-average error 3.6e-17 x b*p_max/d (limit 1e-12), min shock-mean p-value 0.72 (limit 1e-09)
 PASS curve_lipschitz_logged: 0 bound violations in 50 cases (worst ratio 0.08); informational
