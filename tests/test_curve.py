@@ -225,8 +225,8 @@ def test_roll_matches_scalar_steps():
     rolls (p, S); backward it rolls the covector (u, v) -> (u + v, e*u + v)
     as the swapped pair (v, u) over the reversed steps.  Each path agrees
     with its scalar loop to a few ulps of the path's largest entry (6.8e-15
-    at worst over 900 lengths; roll and loop each sit within 3.1e-15 of
-    exact rational arithmetic)."""
+    at worst over 900 random cases of each direction; roll and loop each sit
+    within about 3e-15 of exact rational arithmetic)."""
     rng = np.random.default_rng(5)
     for n in range(1, 301):
         c1, t0 = rng.uniform(0.0, 0.5), int(rng.integers(1, 10**6))
