@@ -170,7 +170,9 @@ def solve_curve(
     # Pass 2: the plateau, then the segment rolled forward from x_m.
     i0 = start - t_start
     prices[:i0] = p_max
-    refs[: i0 + 1] = (base + np.arange(i0 + 1.0) * p_max) / np.arange(t_start, start + 1.0)
+    for lo in range(0, i0 + 1, CHUNK):
+        k = np.arange(lo, min(lo + CHUNK, i0 + 1), dtype=float)
+        refs[lo : lo + len(k)] = (base + k * p_max) / (k + t_start)
     x = (p0, base + i0 * p_max)
     for lo in range(start, horizon, CHUNK):
         s = np.arange(lo, min(lo + CHUNK, horizon), dtype=float)

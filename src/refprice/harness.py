@@ -6,11 +6,13 @@ simulator itself (``Policy.play(env)``), planned paths as one
 posts short runs of rounds inline with the same arithmetic; a policy that
 leaves rounds unposted is an error.  Regret is measured on expected revenue:
 noise perturbs only what the policy observes, not how a posted price
-sequence is scored.  The clairvoyant baseline is scored the same
-way, as a noiseless ``markdown_oracle`` episode.  Episodes are deterministic
-given (instance, noise, policy spec, T, r1, seed); the seed for episode i of a
-run is base_seed + i, with the same seed list reused across the horizons of a
-sweep.
+sequence is scored.  Each round's expected revenue is recorded as the round
+is posted, from the expected demand its realized demand is built on, so no
+round's demand is evaluated twice.  The clairvoyant baseline is scored the
+same way, as a noiseless ``markdown_oracle`` episode.  Episodes are
+deterministic given (instance, noise, policy spec, T, r1, seed); the seed for
+episode i of a run is base_seed + i, with the same seed list reused across
+the horizons of a sweep.
 
 The CSV writers format rows in chunks of a fixed number of cells, column by
 column, and format a column chunk that repeats, within a block or across
@@ -19,8 +21,7 @@ and text a writer holds do not grow with the rows, the columns or the
 blocks; a large output is split offset-major among forked helpers and
 assembled in file order, with the same bytes for any number of processes
 (see ``_write_csv``).  Every text goes to a binary file: the output itself,
-or the temp file of the process that formatted it.  An episode's revenue
-columns are likewise built ``BLOCK_CHUNK`` rounds at a time.
+or the temp file of the process that formatted it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from .model import Instance, NoiseSpec, expected_demand_vec
 from .policies import PlannedPolicy, Policy, make_policy
 
-# Longest run of rounds ``post_block`` and ``_finish_record`` handle with
-# one set of numpy temporaries.
+# Longest run of rounds ``post_block`` handles with one set of numpy
+# temporaries.
 BLOCK_CHUNK = 4096
 # Cells the CSV writer formats and writes at a time, CSV_CELLS // columns
 # rows; also the rows of output per writer process (see ``_write_csv``).
@@ -55,8 +56,9 @@ class SimEnv:
     dynamics: ``total`` is the exact running sum of r1 and the prices
     posted, and ``t`` is the next round.  ``post_block`` posts a run of
     rounds; a policy may post rounds itself with the same arithmetic and
-    draws.  Every round's price,
-    reference and demand are kept in ``prices``, ``refs`` and ``demands``.
+    draws.  Every round's price, reference, demand and expected revenue
+    (price times expected demand) are kept in ``prices``, ``refs``,
+    ``demands`` and ``expected_revenue``, written as the round is posted.
     Prices outside [0, p_max] are a hard failure.
     """
 
@@ -80,6 +82,7 @@ class SimEnv:
         self.prices = np.empty(T)
         self.refs = np.empty(T)
         self.demands = np.empty(T)
+        self.expected_revenue = np.empty(T)
 
     def post_block(self, prices: Sequence[float]) -> np.ndarray:
         """Post ``prices`` in order and return their realized demands.
@@ -103,9 +106,10 @@ class SimEnv:
             totals[1:] = p
             np.cumsum(totals, out=totals)
             refs = totals[:-1] / np.arange(self.t, self.t + m, dtype=float)
-            demand = expected_demand_vec(self.inst, p, refs) + self.noise.draw_array(self.rng, m)
-            out[lo : lo + m] = demand
+            expected = expected_demand_vec(self.inst, p, refs)
+            out[lo : lo + m] = expected + self.noise.draw_array(self.rng, m)
             i = self.t - 1
+            np.multiply(p, expected, out=self.expected_revenue[i : i + m])
             self.prices[i : i + m] = p
             self.refs[i : i + m] = refs
             self.total = float(totals[-1])
@@ -138,43 +142,6 @@ class EpisodeRecord:
             raise ValueError("row count must equal the horizon")
 
 
-def _finish_record(
-    inst: Instance,
-    policy: Policy,
-    seed: int,
-    T: int,
-    r1: float,
-    prices: np.ndarray,
-    refs: np.ndarray,
-    demands: np.ndarray,
-) -> EpisodeRecord:
-    """The episode's record: the revenue columns are filled ``BLOCK_CHUNK``
-    rounds at a time, elementwise as on whole arrays, and each total is one
-    ``np.sum`` over its whole column."""
-    expected_rev = np.empty(T)
-    for lo in range(0, T, BLOCK_CHUNK):
-        p = prices[lo : lo + BLOCK_CHUNK]
-        expected = expected_demand_vec(inst, p, refs[lo : lo + BLOCK_CHUNK])
-        np.multiply(p, expected, out=expected_rev[lo : lo + BLOCK_CHUNK])
-    realized_rev = prices * demands
-    return EpisodeRecord(
-        policy_kind=policy.kind,
-        seed=seed,
-        T=T,
-        r1=r1,
-        instance=inst,
-        t=np.arange(1, T + 1),
-        price=prices,
-        reference=refs,
-        demand=demands,
-        expected_revenue=expected_rev,
-        realized_revenue=realized_rev,
-        expected_total=float(np.sum(expected_rev)),
-        realized_total=float(np.sum(realized_rev)),
-        meta=policy.meta(),
-    )
-
-
 def run_episode(
     inst: Instance,
     noise: NoiseSpec,
@@ -199,7 +166,23 @@ def run_episode(
     policy.play(env)
     if env.t <= T:
         raise ValueError(f"policy {policy.kind!r} posted no price for round {env.t}")
-    return _finish_record(inst, policy, seed, T, r1, env.prices, env.refs, env.demands)
+    realized_rev = env.prices * env.demands
+    return EpisodeRecord(
+        policy_kind=policy.kind,
+        seed=seed,
+        T=T,
+        r1=r1,
+        instance=inst,
+        t=np.arange(1, T + 1),
+        price=env.prices,
+        reference=env.refs,
+        demand=env.demands,
+        expected_revenue=env.expected_revenue,
+        realized_revenue=realized_rev,
+        expected_total=float(np.sum(env.expected_revenue)),
+        realized_total=float(np.sum(realized_rev)),
+        meta=policy.meta(),
+    )
 
 
 def baseline_kind(inst: Instance) -> str:

@@ -231,6 +231,8 @@ class LearnGreedyState:
         are posted here with ``post_block``'s arithmetic, domain checks and
         draws, the sign before the round's shock, and stored through
         memoryviews of the env's arrays; longer plans go to ``post_block``.
+        A round's expected demand is computed once: its realized demand is
+        that plus the shock, and its expected revenue the price times it.
 
         The draw source is chosen once per call.  Under bounded-uniform or
         no noise, when the signs come from the env's own generator and it is
@@ -265,7 +267,8 @@ class LearnGreedyState:
         random, normal, coin = rng.random, rng.standard_normal, self.rng.random
         if buffered:
             random = coin = buf.pop
-        prices, refs, demands = (memoryview(x) for x in (env.prices, env.refs, env.demands))
+        columns = (env.prices, env.refs, env.demands, env.expected_revenue)
+        prices, refs, demands, revenues = map(memoryview, columns)
         r_target, d, budget, p_max = self.r_target, self.d, self.budget, self.p_max
         step_scale, p_top = 2.0 * p_max, r_target - d
         t, total, r = env.t, env.total, env.r
@@ -305,8 +308,10 @@ class LearnGreedyState:
                         raise DomainError(f"reference {r} outside [0, {inst.p_max}]")
                     gap = r - price
                     shock = low + width * random() if unif else std * normal() if gauss else 0.0
-                    demand = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap + shock
+                    expected = b - a * price + (eta_plus if gap >= 0.0 else eta_minus) * gap
+                    demand = expected + shock
                     prices[t - 1], refs[t - 1], demands[t - 1] = price, r, demand
+                    revenues[t - 1] = price * expected
                     total += price
                     t += 1
                     r = total / t

@@ -2,7 +2,8 @@
 the Monte-Carlo oracle of the gradient estimate.
 
 ``post`` posts one round into a ``SimEnv`` the scalar way: ``expected_demand``
-with its domain checks, then one ``NoiseSpec.draw``.  ``BlockLearner`` is
+with its domain checks, then one ``NoiseSpec.draw``; the round's expected
+revenue is the price times that expected demand.  ``BlockLearner`` is
 ``LearnGreedyState`` driven block by block, a reset plan or one learning
 price per block, and ``run_blocks`` is the loop that drove it, with every
 round posted through ``post``.  ``SimEnv.post_block`` and
@@ -34,6 +35,7 @@ def post(env, price: float) -> float:
     env.prices[i] = price
     env.refs[i] = env.r
     env.demands[i] = demand
+    env.expected_revenue[i] = price * expected
     env.total += price
     env.t += 1
     env.r = env.total / env.t

@@ -253,10 +253,12 @@ def test_roll_matches_scalar_steps():
                 assert np.max(np.abs(path - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
-def test_solve_curve_memory_is_bounded_by_the_chunk(inst_symmetric):
+@pytest.mark.parametrize("chunk", [curve_module.CHUNK, 2048])
+def test_solve_curve_memory_is_bounded_by_the_chunk(inst_symmetric, monkeypatch, chunk):
     """Over its two outputs (16 B a round), a long solve holds a few
     ``CHUNK``-round temporaries at most: neither pass keeps a value for
-    every round."""
+    every round, nor does the plateau before the markdown start."""
+    monkeypatch.setattr(curve_module, "CHUNK", chunk)
     theta = true_policy_params(inst_symmetric)
     T = 2 * 10**5
     tracemalloc.start()

@@ -150,6 +150,7 @@ def test_post_block_matches_scalar_post(seed, noise, blocks, r_share):
     assert np.array_equal(block.prices, scalar.prices)
     assert np.array_equal(block.refs, scalar.refs)
     assert np.array_equal(block.demands, scalar.demands)
+    assert np.array_equal(block.expected_revenue, scalar.expected_revenue)
 
 
 @pytest.mark.parametrize("n", [7, 8, BLOCK_CHUNK + 1])
@@ -728,18 +729,32 @@ def test_write_csv_memory_is_bounded_by_the_cell_budget(tmp_path, width):
     assert peak <= 2 * chunk + text
 
 
-def test_finish_record_memory_is_bounded_by_the_block_chunk(inst_symmetric):
-    """Over its outputs (``t`` and the two revenue columns, 24 B a round),
-    ``_finish_record`` holds a few ``BLOCK_CHUNK``-round temporaries at
-    most, not T-round ones: not even a T-round boolean mask."""
+@pytest.mark.parametrize("noise", NOISES, ids=lambda noise: noise.kind)
+def test_episode_memory_is_bounded_by_the_block_chunk(inst_symmetric, noise):
+    """Over its outputs (the env's four columns, the record's ``t`` and
+    realized revenue, 48 B a round), an episode holds a few
+    ``BLOCK_CHUNK``-round temporaries at most, not T-round ones."""
     inst, T, r1 = inst_symmetric, 64 * BLOCK_CHUNK + 7, 0.4
-    rng = np.random.default_rng(0)
-    policy = make_policy({"kind": "two_price", "alpha": 0.3}, inst, T, r1, rng)
-    env = SimEnv(inst, NoiseSpec.bounded_uniform(0.1), T, r1, rng)
-    policy.play(env)
-    args = (inst, policy, 0, T, r1, env.prices, env.refs, env.demands)
-    peak = _traced_peak(lambda: harness._finish_record(*args))
-    assert peak - 24 * T <= 4 * 8 * BLOCK_CHUNK
+    policy = make_policy({"kind": "two_price", "alpha": 0.3}, inst, T, r1, None)
+    np.random.default_rng(0)  # loads numpy.random, whose import is not the episode's
+    peak = _traced_peak(lambda: run_episode(inst, noise, policy, T, r1, 0))
+    assert peak - 48 * T <= 4 * 8 * BLOCK_CHUNK
+
+
+def test_episode_evaluates_each_round_once(inst_symmetric, monkeypatch):
+    """A planned episode evaluates the demand model once per chunk posted,
+    never again to score the rounds."""
+    calls = []
+    evaluate = harness.expected_demand_vec
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "expected_demand_vec", spy)
+    T = 3 * BLOCK_CHUNK + 5
+    run_episode(inst_symmetric, NoiseSpec.none(), {"kind": "fixed", "price": 0.9}, T, 0.4, 0)
+    assert calls == [BLOCK_CHUNK] * 3 + [5]
 
 
 def test_write_csv_one_temp_file_per_process(tmp_path, monkeypatch):

@@ -376,6 +376,7 @@ def test_kernel_matches_block_loop(noise, budget, split, T, seed, r_target, d_sh
                 [x.hex() for x in (learner.estimate(), learner.p_hat, learner.sum_iterates, env.r, env.total)],
                 (learner.s, learner.reset_rounds, env.t),
                 (env.prices[:n].tobytes(), env.refs[:n].tobytes(), env.demands[:n].tobytes()),
+                env.expected_revenue[:n].tobytes(),
                 rng.bit_generator.state,
             )
         )
@@ -420,6 +421,7 @@ def test_kernel_matches_block_loop_for_every_draw_source(bitgen, half_word, own_
                 [x.hex() for x in (learner.p_hat, learner.sum_iterates, env.total)],
                 (learner.s, learner.reset_rounds, env.t),
                 (env.prices[:n].tobytes(), env.refs[:n].tobytes(), env.demands[:n].tobytes()),
+                env.expected_revenue[:n].tobytes(),
                 # Philox, SFC64 and MT19937 keep arrays in their state.
                 json.dumps([rng.bit_generator.state, coins.bit_generator.state], default=np.ndarray.tolist),
             )
@@ -462,7 +464,7 @@ def test_kernel_out_of_range_price_leaves_the_generator_as_the_block_loop(noise)
         sides.append(
             (
                 env.prices[:1].tobytes(),
-                env.demands[:1].tobytes(),
+                env.demands[:1].tobytes() + env.expected_revenue[:1].tobytes(),
                 rng.bit_generator.state,
                 [x.hex() for x in (env.total, env.r, learner.p_hat, learner.sum_iterates)],
                 (env.t, learner.s, learner.reset_rounds),
