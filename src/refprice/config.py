@@ -217,6 +217,13 @@ def _parse_run(raw, inst: Instance) -> RunConfig:
     return run
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line: what is wrong and, where it says, where."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark is not None else ""
+    return " ".join(f"{getattr(exc, 'problem', None) or exc}{where}".split())
+
+
 def _apply_overrides(data: dict, overrides) -> dict:
     for item in overrides:
         if "=" not in item:
@@ -230,7 +237,10 @@ def _apply_overrides(data: dict, overrides) -> dict:
             if key not in node or not isinstance(node[key], dict):
                 node[key] = {}
             node = node[key]
-        node[keys[-1]] = yaml.safe_load(value)
+        try:
+            node[keys[-1]] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {item!r} is not valid YAML: {_yaml_problem(exc)}") from exc
     return data
 
 
@@ -252,12 +262,14 @@ def load_config(path, overrides=(), env=None) -> ExperimentConfig:
     dotted overrides (overrides win over the environment)."""
     env = os.environ if env is None else env
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = yaml.safe_load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid YAML: {_yaml_problem(exc)}") from exc
     if data is None:
         raise ConfigError(f"config {path} is empty")
     data = _require_mapping(data, "top-level")

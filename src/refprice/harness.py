@@ -15,13 +15,15 @@ episode i of a run is base_seed + i, with the same seed list reused across
 the horizons of a sweep.
 
 The CSV writers format rows in chunks of a fixed number of cells, column by
-column, and format a column chunk that repeats, within a block or across
-blocks (episodes) at the same row offset, once per process, so the strings
-and text a writer holds do not grow with the rows, the columns or the
-blocks; a large output is split offset-major among forked helpers and
-assembled in file order, with the same bytes for any number of processes
-(see ``_write_csv``).  Every text goes to a binary file: the output itself,
-or the temp file of the process that formatted it.
+column, in numpy: each cell's bytes are exactly ``repr``'s, built from its
+digits for int64 and for float64 in ``repr``'s positional range, and taken
+from ``repr`` itself for every other cell.  A column chunk that repeats,
+within a block or across blocks (episodes) at the same row offset, is
+formatted once per process, so the bytes a writer holds do not grow with the
+rows, the columns or the blocks; a large output is split offset-major among
+forked helpers and assembled in file order, with the same bytes for any
+number of processes (see ``_write_csv``).  Every text goes to a binary file:
+the output itself, or the temp file of the process that formatted it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +49,10 @@ BLOCK_CHUNK = 4096
 # Cells the CSV writer formats and writes at a time, CSV_CELLS // columns
 # rows; also the rows of output per writer process (see ``_write_csv``).
 CSV_CELLS = 16384
+# A column chunk of fewer cells is formatted by ``repr``: there numpy's cost
+# of about 0.2 ms a chunk is the larger, and a 3-row ``regret.csv`` does not
+# load the numpy code that the digit search runs (1 MB of resident memory).
+REPR_CELLS = 64
 
 
 class SimEnv:
@@ -309,32 +315,237 @@ def fit_loglog_slope(records: Sequence[RegretRecord]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _format_column(chunk: np.ndarray) -> list:
-    """``repr`` of each ``.tolist()`` entry of a contiguous ``chunk``.  Runs
-    of equal bits get one ``repr`` each, repeated, when fewer than half the
+# The text of every two-digit number, "00" to "99", as one uint16 each.
+_PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).view(np.uint16)[:, 0]
+# 10^0 to 10^18, the powers of ten an int64 holds.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# 10^0 to 10^22, every one an exact double, and the two halves of each
+# from Dekker's split (2^27 + 1).
+_POW10F = np.array([float(10**k) for k in range(23)])
+_POW10F_HI = _POW10F * 134217729.0 - (_POW10F * 134217729.0 - _POW10F)
+_POW10F_LO = _POW10F - _POW10F_HI
+# Row k keeps (0xFF) the first k of 20 bytes and drops (0) the rest.
+_KEEP = np.tri(21, 20, -1, np.uint8) * np.uint8(255)
+
+
+def _digits(v: np.ndarray, pairs: int) -> np.ndarray:
+    """The last 2 * ``pairs`` decimal digits of each of ``v`` (int64, >= 0)
+    as ASCII, one row each, from the pair table."""
+    out = np.empty((len(v), pairs), np.uint16)
+    for k in range(pairs - 1, -1, -1):
+        q = v // 100
+        np.take(_PAIRS, v - q * 100, out=out[:, k])
+        v = q
+    return out.view(np.uint8)
+
+
+def _keep(text: np.ndarray, counts: np.ndarray, last: bool = False) -> np.ndarray:
+    """Zero all but the first (``last``: the last) ``counts`` bytes of each
+    row of the contiguous byte matrix ``text``, in place, with one row of
+    ``_KEEP`` per row."""
+    width = text.shape[1]
+    masks = _KEEP[: width + 1, :width]
+    masks = np.ascontiguousarray(masks[:, ::-1] if last else masks)
+    rows = np.take(masks.view(np.dtype((np.void, width)))[:, 0], counts)
+    return np.bitwise_and(text, rows.view(np.uint8).reshape(text.shape), out=text)
+
+
+def _repr_cells(values) -> np.ndarray:
+    """The ``repr`` of each of ``values`` as a row of bytes, padded with
+    zero bytes."""
+    texts = np.array([repr(v).encode() for v in values], dtype=bytes)
+    return texts.view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
+
+
+def _fallback(field: np.ndarray, rows: np.ndarray, values) -> np.ndarray:
+    """``field`` with rows ``rows`` holding the ``repr`` of ``values``,
+    widened where a text needs it."""
+    texts = _repr_cells(values)
+    width = texts.shape[1]
+    if width > field.shape[1]:
+        field = np.pad(field, ((0, 0), (0, width - field.shape[1])))
+    field[rows] = 0
+    field[rows, :width] = texts
+    return field
+
+
+def _format_ints(v: np.ndarray) -> np.ndarray:
+    """int64 cells: a sign byte where one is negative, then the digits right
+    aligned, their leading zeros as zero bytes.  -2^63, whose magnitude
+    int64 cannot hold, gets its ``repr``."""
+    a = np.abs(v)
+    pairs = (len(str(max(int(a.max(initial=0)), 0))) + 1) // 2
+    digits = _keep(_digits(a, pairs), np.maximum(np.searchsorted(_POW10, a, "right"), 1), last=True)
+    neg = v < 0
+    if not neg.any():
+        return digits
+    field = np.empty((len(v), 2 * pairs + 1), np.uint8)
+    field[:, 0] = neg * ord("-")
+    field[:, 1:] = digits
+    bad = np.flatnonzero(a < 0)
+    return _fallback(field, bad, v[bad].tolist()) if len(bad) else field
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = ``a`` * 10^``s`` exactly, as its floor N (int64) and its fraction
+    F in [0, 1): Dekker's two-product hi + lo, hi an integer as X >= 2^53."""
+    bh, bl = _POW10F_HI[s], _POW10F_LO[s]
+    hi = a * _POW10F[s]
+    ca = 134217729.0 * a
+    ah = ca - (ca - a)
+    al = a - ah
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    whole = np.floor(lo)
+    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
+
+
+def _format_floats(x: np.ndarray) -> np.ndarray:
+    """float64 cells, as ``repr`` writes them in positional form.
+
+    For 1e-4 <= |x| < 1e16 the shortest round-trip digits are found
+    exactly.  With s such that X = |x| * 10^s lies in [10^16, 10^17), x's
+    rounding interval scaled by 10^s is X +- H, H = ulp * 10^s / 2, and A to
+    B are the integers strictly inside it.  The digits are those of the
+    shortest p <= 17 with a multiple of 10^(17 - p) in A to B, the nearest
+    to X.  Two candidates can both lie in A to B only for p = 17 and 16, as
+    B - A < 23; a cell exactly halfway between two of them gets its
+    ``repr``, as does every other cell: nan, infinities, subnormals and the
+    exponent form.  ±0.0 print as "0.0" and "-0.0".
+
+    ``repr`` refines the interval twice, and in this range neither changes
+    a digit, so both are left out: below a power of two the lower half-width
+    is H / 2 (every power of two in the range is pinned in
+    ``tests/test_csv_format.py``), and the ends belong to the interval for
+    an even mantissa (an end is an integer only where |x| >= 2^52, s = 1,
+    as 10x +- 5 or 10x +- 10, and X = 10x itself is then nearer and no
+    longer).  A wider range would need both.
+
+    The field is a sign byte where one is negative, the "0." and zeros
+    before the digits where |x| < 0.1, then the digits, with a point slot
+    after each digit some cell's point follows.
+    """
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-4) & (a < 1e16)
+    if not (fast | zero).any():
+        return _repr_cells(x.tolist())
+    a = np.where(fast, a, 1.0)
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    N, F = _scaled(a, s)
+    low, high = N < 10**16, N >= 10**17
+    if low.any() or high.any():  # log10 was off by one
+        s += low.astype(np.int64) - high
+        N, F = _scaled(a, s)
+    H = np.spacing(a) * _POW10F[s] / 2.0
+    A = N + np.floor(F - H).astype(np.int64) + 1
+    B = N + np.ceil(F + H).astype(np.int64) - 1
+    # p = 17: the integer nearest X within A to B.
+    c = np.minimum(np.maximum(N + (F > 0.5), A), B)
+    tie = F == 0.5
+    p = np.full(n, 17)
+    # p = 16: the multiple of 10 nearest X within A to B.
+    r = N - N // 10 * 10
+    lo, hi = -(-A // 10) * 10, B // 10 * 10
+    rows = np.flatnonzero(lo <= hi)
+    c[rows] = np.minimum(np.maximum(N - r + 10 * (r + F > 5), lo), hi)[rows]
+    tie[rows] = (r + F == 5)[rows]
+    p[rows] = 16
+    # p <= 15: at most one multiple of 10^(17 - p), the highest up to B.
+    A, B = A[rows], B[rows]
+    for k in range(2, 17):
+        m = B // 10**k * 10**k
+        ok = m >= A
+        rows, A, B, m = rows[ok], A[ok], B[ok], m[ok]
+        if not len(rows):
+            break
+        c[rows], tie[rows], p[rows] = m, False, 17 - k
+    top = c == 10**17  # rounded up to the next power of ten
+    c[top] //= 10
+    s -= top  # s = 0 would be 1e16, the exponent form: a fallback below
+    c[zero], s[zero], p[zero] = 0, 17, 1
+    neg = np.signbit(x)
+    end = np.maximum(p - 1, 17 - s)  # the last digit shown
+    shown = int(end.max(initial=0)) + 1
+    digits = _keep(_digits(c, 9), end + 2)[:, 1 : shown + 1]
+    after = 16 - s  # the digit the point follows, where it is >= 0
+    slots = np.flatnonzero(np.bincount(after[after >= 0], minlength=1))
+    prefix = max(int(s.max(initial=0)) - 15, 0)
+    field = np.empty((n, int(neg.any()) + prefix + shown + len(slots)), np.uint8)
+    col = 0
+    if neg.any():
+        field[:, 0] = neg * ord("-")
+        col = 1
+    if prefix:
+        field[:, col] = (s >= 17) * ord("0")
+        field[:, col + 1] = (s >= 17) * ord(".")
+        for k in range(2, prefix):
+            field[:, col + k] = (s >= 16 + k) * ord("0")
+        col += prefix
+    j0 = 0
+    for j in slots:
+        field[:, col : col + j + 1 - j0] = digits[:, j0 : j + 1]
+        col += j + 1 - j0
+        field[:, col] = (after == j) * ord(".")
+        col += 1
+        j0 = j + 1
+    field[:, col:] = digits[:, j0:]
+    bad = np.flatnonzero(~(fast | zero) | tie | (s < 1))
+    return _fallback(field, bad, x[bad].tolist()) if len(bad) else field
+
+
+def _format_cells(chunk: np.ndarray) -> np.ndarray:
+    """The cells of ``chunk`` as a byte matrix, a row per cell, each row the
+    cell's text with zero bytes anywhere in it: int64 and float64 cells from
+    their digits (see ``_format_ints`` and ``_format_floats``) where there
+    are at least ``REPR_CELLS``, any other from ``repr`` of its ``.tolist()``
+    entry."""
+    if len(chunk) < REPR_CELLS:
+        return _repr_cells(chunk.tolist())
+    if chunk.dtype == np.int64:
+        return _format_ints(chunk)
+    if chunk.dtype == np.float64:
+        return _format_floats(chunk)
+    return _repr_cells(chunk.tolist())
+
+
+def _format_column(chunk: np.ndarray) -> np.ndarray:
+    """The cells of a contiguous ``chunk`` (see ``_format_cells``).  Runs of
+    equal bits are formatted once each, repeated, when fewer than half the
     rows start a run."""
     bits = chunk.view(f"u{chunk.itemsize}")
     starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     if 2 * (len(starts) + 1) >= len(chunk):
-        return list(map(repr, chunk.tolist()))
+        return _format_cells(chunk)
     starts = np.concatenate(([0], starts))
-    strings = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
-    return np.repeat(strings, np.diff(starts, append=len(chunk))).tolist()
+    return np.repeat(_format_cells(chunk[starts]), np.diff(starts, append=len(chunk)), axis=0)
 
 
-def _format_chunk(columns, lo: int, rows: int, strings: dict) -> str:
+def _format_chunk(columns, lo: int, rows: int, fields: dict) -> np.ndarray:
     """The text of rows ``lo`` to ``lo + rows - 1`` of ``columns`` (fewer at
-    the block's end), one column at a time.  ``strings`` maps a column
-    chunk's (dtype, raw bytes) to its cells: a chunk found there is not
-    formatted again, and every new one is added."""
+    the block's end) as a uint8 array, one column at a time.  ``fields``
+    maps a column chunk's (dtype, raw bytes) to its cells' byte matrix: a
+    chunk found there is not formatted again, and every new one is added.
+    The rows are laid out with their commas and newlines in one byte matrix,
+    and its zero bytes dropped."""
     cells = []
     for column in columns:
         chunk = np.ascontiguousarray(column[lo : lo + rows])
         key = (chunk.dtype.str, chunk.tobytes())
-        if key not in strings:
-            strings[key] = _format_column(chunk)
-        cells.append(strings[key])
-    return "\n".join(chain(map(",".join, zip(*cells)), ("",)))
+        if key not in fields:
+            fields[key] = _format_column(chunk)
+        cells.append(fields[key])
+    if not cells:
+        return np.empty(0, np.uint8)
+    text = np.empty((len(cells[0]), sum(field.shape[1] + 1 for field in cells)), np.uint8)
+    at = 0
+    for field in cells:
+        width = field.shape[1]
+        text[:, at : at + width] = field
+        text[:, at + width] = ord(",")
+        at += width + 1
+    text[:, -1] = ord("\n")
+    return text[text != 0]
 
 
 def _write_items(blocks, items, rows: int, out) -> list:
@@ -342,20 +553,20 @@ def _write_items(blocks, items, rows: int, out) -> list:
     in order, into the binary file ``out``; returns the lengths of their
     texts, in order.
 
-    The strings of the first item formatted at an offset are kept while the
+    The cells of the first item formatted at an offset are kept while the
     items that follow are at the same offset, and a later item's column chunk
     with the same dtype and raw bits reuses them.  So at most two items'
-    strings are held at once: the kept ones and the current item's.
+    cells are held at once: the kept ones and the current item's.
     """
     lengths = []
     kept_at = None
     for lo, b in items:
         if lo != kept_at:
             kept_at, kept = lo, {}
-            strings = kept
+            fields = kept
         else:
-            strings = dict(kept)
-        lengths.append(out.write(_format_chunk(blocks[b], lo, rows, strings).encode()))
+            fields = dict(kept)
+        lengths.append(out.write(_format_chunk(blocks[b], lo, rows, fields)))
     return lengths
 
 
@@ -389,7 +600,8 @@ def _split(sizes, rows: int, workers: int) -> tuple[list, list]:
 
 def _copy(tmp, pos: int, length: int, out) -> None:
     """Append bytes ``pos`` to ``pos + length - 1`` of ``tmp`` to ``out``.
-    A span is one chunk's text, no larger than the strings it was made from."""
+    A span is one chunk's text, no larger than the byte matrix it was
+    compacted from."""
     tmp.seek(pos)
     data = tmp.read(length)
     if len(data) != length:
@@ -486,19 +698,31 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
     entry: ints print as ints, floats in their shortest round-trip form.
 
+    The cells are made in numpy with exactly ``repr``'s bytes: an int64
+    cell from its digits (pairs looked up in a 100-entry table), a float64
+    cell with 1e-4 <= |x| < 1e16, or ±0.0, from an exact search for its
+    shortest round-trip digits (see ``_format_floats``), laid out with its
+    sign and point.  Every other cell keeps its own ``repr``: nan, ±inf,
+    subnormals, |x| < 1e-4 or >= 1e16 (``repr``'s exponent form), a float
+    exactly halfway between two shortest candidates, -2^63, every cell of
+    any other dtype, and every cell of a column chunk (or of its distinct
+    runs) under ``REPR_CELLS`` cells.  A chunk's cells go into one byte
+    matrix with their commas and newlines, padded with zero bytes that one
+    mask drops.
+
     The rows are formatted in chunks of ``CSV_CELLS`` // C rows (at least
     one), C the column count of the widest block, one column at a time: 2,048
     rows of ``episodes.csv``, 5,461 of ``curve.csv``, 2,340 of ``regret.csv``.
     A distinct cell is formatted once where it repeats: a run of equal cells
-    within a column shares one string, and a column chunk identical to an
+    within a column is formatted once, and a column chunk identical to an
     earlier one at the same row offset, in the same block or in an earlier
-    block formatted by the same process, reuses its strings.  So the columns
+    block formatted by the same process, reuses its bytes.  So the columns
     that repeat across episodes (a planned path's ``t``, ``price``,
     ``reference`` and ``expected_revenue``; without noise, every column but
     ``episode`` and ``seed``) are formatted once per process.  Identical
     means the same dtype and the same raw bits, never ``==``: ``0.0`` and
-    ``-0.0``, or two NaN payloads, never share a string.  A process holds the
-    strings of at most two chunks and the text of one, however many rows,
+    ``-0.0``, or two NaN payloads, never share their bytes.  A process holds
+    the cells of at most two chunks and the text of one, however many rows,
     columns and blocks there are.
 
     The chunks are split offset-major into W = min(``threads``,

@@ -11,6 +11,10 @@ round posted through ``post``.  ``SimEnv.post_block`` and
 
 ``gradient_z_scores`` measures the one-point gradient estimate's bias by
 Monte Carlo, the statistic of acceptance criterion c07.
+
+``write_csv_rowwise`` is the row-by-row CSV writer, ``repr`` of every cell:
+``harness._write_csv`` and its numpy cell formatter must match it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -98,3 +102,19 @@ def gradient_z_scores(rng, n_points, n_draws):
             se = float(np.std(g, ddof=1) / math.sqrt(n_draws))
             scores.append(abs(float(np.mean(g)) - target) / se)
     return scores
+
+
+def write_csv_rowwise(path, meta, header, blocks, footer=(), threads=1):
+    """The row-by-row writer that the chunked ``_write_csv`` replaced: the
+    ``# key=value`` lines of ``meta`` in key order, the header, every row as
+    the ``repr`` of its ``.tolist()`` cells, then the footer.  ``threads`` is
+    taken and ignored, so that this can stand in for ``_write_csv``."""
+    with open(path, "w") as f:
+        for key, value in sorted(meta.items()):
+            f.write(f"# {key}={value}\n")
+        f.write(header + "\n")
+        for columns in blocks:
+            cells = [np.asarray(column).tolist() for column in columns]
+            f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+        for line in footer:
+            f.write(line + "\n")

@@ -270,6 +270,31 @@ def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, config, override
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["run.T=[1,", "run.T=@x"])
+def test_override_that_is_not_yaml_exits_2(tmp_path, capsys, override):
+    """A value YAML cannot parse is a config error that names the override,
+    on one line, not a traceback."""
+    out = tmp_path / "o"
+    path = os.path.join(CONFIGS, "default.yaml")
+    assert main(["solve", "--config", path, "--out", str(out), override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert repr(override) in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"instance:\n  a: 1.0\xff\xfe")
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_infinite_exploration_budget_exits_1(tmp_path, capsys, command):
     """c_t1 = 1e308 is finite, but the budget it scales overflows."""

@@ -27,6 +27,11 @@ two-valued price column and, without noise, a ``realized_revenue`` column
 bit-identical to ``expected_revenue``; the second has the curve's long hold
 phase at p_max.
 
+``episodes_two_price_gaussian`` was captured from the writer that made
+every cell with ``repr``, before the cells came to be made in numpy.  Its
+gaussian demands (std 1.0) go negative 956 times, and its first reference
+is 0.0.
+
 ``episodes_two_price_noisy_long`` was captured before the writer came to
 reuse a column chunk across episodes.  Its three noisy episodes share the
 ``t``, ``price``, ``reference`` and ``expected_revenue`` chunks at every
@@ -41,7 +46,10 @@ import os
 
 import pytest
 
+from refprice import harness
 from refprice.cli import main
+
+from oracles import write_csv_rowwise
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -84,6 +92,14 @@ CASES = {
         ["run.T=40000", "run.seeds=2", "noise.kind=none"],
         "episodes.csv",
         "f8639d874ebef6285d5e8a96d11344443879c8ba469552edd78b6217fa470dc5",
+    ),
+    # Negative demands and a 0.0 reference.
+    "episodes_two_price_gaussian": (
+        "simulate",
+        "two_price_gap.yaml",
+        ["run.T=3000", "run.seeds=2", "noise.kind=gaussian", "noise.std=1.0"],
+        "episodes.csv",
+        "9395653eaa2a4f2161dc584eac9e1a7625ad7c5d054fb9e19fc2456d8159bc16",
     ),
     # Three noisy episodes past two writer chunks each.
     "episodes_two_price_noisy_long": (
@@ -150,3 +166,30 @@ def test_csv_golden_does_not_depend_on_threads(tmp_path, monkeypatch, name, thre
     assert hashlib.sha256(data).hexdigest() == digest
     assert len(starts) == threads - 1
     assert os.listdir(tmp_path) == [filename]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_gaussian_golden_is_repr_with_any_thread_count(tmp_path, monkeypatch, threads):
+    """The golden is what the row-by-row ``repr`` writer makes of the run,
+    and the numpy writer makes it too in 1, 2 and 3 processes: at a budget
+    of 1,024 cells (128 rows of 8 columns) the 6,000 rows are 48 chunks, so
+    ``--threads`` n forks n - 1 helpers."""
+    command, config, overrides, filename, digest = CASES["episodes_two_price_gaussian"]
+    args = [command, "--config", os.path.join(CONFIGS, config)]
+    with monkeypatch.context() as rowwise:
+        rowwise.setattr(harness, "_write_csv", write_csv_rowwise)
+        assert main(args + ["--out", str(tmp_path / "repr")] + overrides) == 0
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    monkeypatch.setattr(harness, "CSV_CELLS", 1024)
+    assert main(args + ["--out", str(tmp_path / "numpy"), "--threads", str(threads)] + overrides) == 0
+    for name in ("repr", "numpy"):
+        data = (tmp_path / name / filename).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+    assert len(starts) == threads - 1

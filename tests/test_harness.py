@@ -38,7 +38,7 @@ from refprice.model import DomainError
 from refprice.policies import Policy
 from refprice.validate import random_instance
 
-from oracles import post
+from oracles import post, write_csv_rowwise
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -326,20 +326,6 @@ def test_regret_sweep_rejects_empty(inst_symmetric):
 
 
 
-def _write_csv_rowwise(path, meta, header, blocks, footer=()):
-    """The row-by-row writer that the chunked ``_write_csv`` replaced: the
-    reference for its output."""
-    with open(path, "w") as f:
-        for key, value in sorted(meta.items()):
-            f.write(f"# {key}={value}\n")
-        f.write(header + "\n")
-        for columns in blocks:
-            cells = [np.asarray(column).tolist() for column in columns]
-            f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
-        for line in footer:
-            f.write(line + "\n")
-
-
 def _from_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -427,7 +413,7 @@ def _csv_blocks(data):
 def _assert_writes_like_rowwise(out, blocks, threads):
     meta, header, footer = {"b": 2, "a": "x"}, "h", ["# slope=nan"]
     _write_csv(out / "chunked.csv", meta, header, blocks, footer, threads=threads)
-    _write_csv_rowwise(out / "rowwise.csv", meta, header, blocks, footer)
+    write_csv_rowwise(out / "rowwise.csv", meta, header, blocks, footer)
     assert (out / "chunked.csv").read_text() == (out / "rowwise.csv").read_text()
 
 
@@ -680,10 +666,28 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _repr_chunk(columns, rows):
+    """The bounds of the writer's memory, in bytes: one chunk of ``rows``
+    rows of ``columns`` as the writer held it when it formatted with
+    ``repr``, each column chunk's raw bytes and its cells' strings, traced
+    in a list here; and the length of the chunk's text."""
+    tracemalloc.start()
+    try:
+        held = [
+            (np.ascontiguousarray(column[:rows]).tobytes(), list(map(repr, column[:rows].tolist())))
+            for column in map(np.asarray, columns)
+        ]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    text = "".join(",".join(row) + "\n" for row in zip(*(strings for _, strings in held)))
+    return size, len(text)
+
+
 @pytest.mark.parametrize("distinct", [False, True], ids=["identical", "distinct"])
 def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, distinct):
     """8 blocks, identical or all distinct, peak within the 1-block peak plus
-    one chunk's strings (the chunk kept for reuse at each offset)."""
+    one chunk's ``repr`` strings (the chunk kept for reuse at each offset)."""
     monkeypatch.setattr(harness, "CSV_CELLS", 10000)  # 2,000 rows of 5 columns
     rng = np.random.default_rng(0)
 
@@ -694,17 +698,7 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
     blocks = [first] + [block() if distinct else first for _ in range(7)]
     one = _traced_peak(lambda: _write_csv(tmp_path / "one.csv", {}, "h", blocks[:1]))
     eight = _traced_peak(lambda: _write_csv(tmp_path / "eight.csv", {}, "h", blocks))
-    strings = {}
-
-    def keep_one_chunk():
-        harness._format_chunk(first, 0, 2000, strings)
-
-    tracemalloc.start()
-    try:
-        keep_one_chunk()
-        chunk = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    chunk, _ = _repr_chunk(first, 2000)
     assert eight <= one + chunk
 
 
@@ -712,19 +706,14 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
 def test_write_csv_memory_is_bounded_by_the_cell_budget(tmp_path, width):
     """One block of 50,000 rows of distinct floats, in 8 or 3 columns: a
     chunk holds at most ``CSV_CELLS`` cells, and the writer's peak is within
-    two chunks' strings plus one chunk's text, whatever the row and column
-    counts."""
+    two chunks' ``repr`` strings plus one chunk's text, whatever the row and
+    column counts."""
     block = list(np.random.default_rng(0).random((width, 50000)))
     rows = CSV_CELLS // width
-    strings = {}
-    tracemalloc.start()
-    try:
-        harness._format_chunk(block, 0, rows, strings)
-        chunk = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, strings.values())) <= CSV_CELLS
-    text = len(harness._format_chunk(block, 0, rows, {}))
+    fields = {}
+    harness._format_chunk(block, 0, rows, fields)
+    assert sum(len(field) for field in fields.values()) <= CSV_CELLS
+    chunk, text = _repr_chunk(block, rows)
     peak = _traced_peak(lambda: _write_csv(tmp_path / "out.csv", {}, "h", [block]))
     assert peak <= 2 * chunk + text
 
