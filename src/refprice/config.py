@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import yaml
@@ -285,26 +285,4 @@ def load_config(path, overrides=(), env=None) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-dict form of a parsed config; loading it again is equivalent."""
-    inst = cfg.instance
-    noise = cfg.noise
-    return {
-        "instance": {
-            "a": inst.a,
-            "b": inst.b,
-            "eta_plus": inst.eta_plus,
-            "eta_minus": inst.eta_minus,
-            "p_max": inst.p_max,
-            "p_ratio_bound": inst.p_ratio_bound,
-        },
-        "noise": {"kind": noise.kind, "half_width": noise.half_width, "std": noise.std},
-        "policy": dict(cfg.policy),
-        "run": {
-            "T": cfg.run.T,
-            "T_list": list(cfg.run.T_list),
-            "seeds": cfg.run.seeds,
-            "base_seed": cfg.run.base_seed,
-            "r1": cfg.run.r1,
-            "out_dir": cfg.run.out_dir,
-            "threads": cfg.run.threads,
-        },
-    }
+    return asdict(cfg)

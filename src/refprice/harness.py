@@ -28,14 +28,15 @@ the output itself, or the temp file of the process that formatted it.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import tempfile
 import threading
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
+from multiprocessing.connection import Pipe
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -228,8 +229,69 @@ class RegretRecord:
     n_exploring: int = 0
 
 
+def _workers(threads: int, most: int) -> int:
+    """Processes for at most ``most`` units of work under the cap
+    ``threads``: min(``threads``, ``most``), at least 1, and 1 where this
+    process may not fork, since the ``fork`` start method is missing or
+    another Python thread is running (forking a process with threads is
+    unsafe)."""
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, min(threads, most))
+
+
+def _send(task, k: int, send) -> None:
+    """A child's work: ``task(k)``, then its result or the exception it
+    raised through the connection ``send``."""
+    try:
+        send.send((True, task(k)))
+    except BaseException as exc:  # an unpicklable result's error too
+        send.send((False, exc))
+
+
+def _fork(name: str, task, n: int) -> list:
+    """``[task(0), ..., task(n - 1)]``: task(0) in this process, and each
+    other in a child forked before task(0) starts, so it inherits what
+    ``task`` reads instead of receiving a pickled copy.  With n = 1 no
+    process is started.
+
+    Each child sends back its result, or the exception it raised, through a
+    one-way pipe, and that exception is raised here as it is; a child that
+    ends without sending raises ``OSError``.  On any failure the children
+    still running are terminated, and every child is joined and every pipe
+    closed before this returns or raises.
+    """
+    receives, children = [], []
+    try:
+        for k in range(1, n):
+            receive, send = Pipe(duplex=False)
+            receives.append(receive)
+            with send:  # closed here once the child has it, so its death reads as EOF
+                child = multiprocessing.get_context("fork").Process(target=_send, args=(task, k, send))
+                child.start()
+                children.append(child)
+        results = [task(0)]
+        for k, (child, receive) in enumerate(zip(children, receives), 1):
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                child.join()
+                raise OSError(f"{name} process {k} exited with code {child.exitcode}") from None
+            if not ok:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for child in children:
+            child.terminate()  # a no-op once the child has exited
+            child.join()
+            child.close()
+        for receive in receives:
+            receive.close()
+
+
 def _episode_value(job) -> tuple[float, bool]:
-    """Pool task: the expected total of one episode, and whether it never
+    """Sweep job: the expected total of one episode, and whether it never
     reached exploitation (a learner whose ``t2`` is None)."""
     rec = run_episode(*job)
     return rec.expected_total, "t2" in rec.meta and rec.meta["t2"] is None
@@ -247,11 +309,13 @@ def regret_sweep(
 ) -> tuple[list[RegretRecord], Optional[float]]:
     """Mean regret per horizon plus the fitted log-log slope.
 
-    Every horizon's baseline and episodes go to one job list, largest horizon
-    first, run by a single pool of min(``threads``, jobs) processes when that
-    is over 1 and this process may fork (``fork_usable``), else in this
-    process; results are read back in job order, so they do not depend on
-    ``threads``.
+    Every horizon's baseline and episodes go to one job list, in ``T_list``
+    order, run by W = ``_workers(threads, jobs)`` processes, which take the
+    jobs one at a time, largest horizon first, from one shared counter.
+    With W > 1 they are W forked children while this process waits
+    (``_fork``), else this process alone.  Results are read back by job
+    index, so they do not depend on ``threads``, and a child's failure is
+    raised here.
 
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
@@ -262,23 +326,32 @@ def regret_sweep(
         raise ValueError("T_list must not be empty")
     if seeds < 1:
         raise ValueError("need at least one seed")
-    order = sorted(range(len(T_list)), key=lambda k: -T_list[k])
     jobs = []
-    for k in order:
-        T = T_list[k]
+    for T in T_list:
         jobs.append(_baseline_job(inst, r1, T))
         jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
-    # A fork pool starts every worker at once: no more than there are jobs.
-    workers = min(threads, len(jobs))
-    if workers > 1 and fork_usable():
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_episode_value, jobs))
-    else:
-        results = [_episode_value(j) for j in jobs]
-    by_horizon = {k: results[j * (seeds + 1) : (j + 1) * (seeds + 1)] for j, k in enumerate(order)}
+    order = sorted(range(len(jobs)), key=lambda j: -jobs[j][3])
+    workers = _workers(threads, len(jobs))
+    # The count of jobs of order handed out, in memory shared with the children.
+    claimed, lock = memoryview(mmap.mmap(-1, 8)).cast("q"), multiprocessing.Lock()
+
+    def claim():
+        with lock:
+            i = claimed[0]
+            claimed[0] = i + 1
+        return order[i] if i < len(jobs) else None
+
+    def task(k):
+        # With children this process only waits: episodes run here would add
+        # their memory (and numpy.random) to its own.
+        if k == 0 and workers > 1:
+            return []
+        return [(j, _episode_value(jobs[j])) for j in iter(claim, None)]
+
+    results = [value for _, value in sorted(chain(*_fork("sweep", task, workers + (workers > 1))))]
     records = []
     for k, T in enumerate(T_list):
-        (v_star, _), *episodes = by_horizon[k]
+        (v_star, _), *episodes = results[k * (seeds + 1) : (k + 1) * (seeds + 1)]
         values = np.asarray([value for value, _ in episodes])
         mean_value = float(np.mean(values))
         regret = v_star - mean_value
@@ -495,24 +568,24 @@ def _format_floats(x: np.ndarray) -> np.ndarray:
 
 
 def _format_cells(chunk: np.ndarray) -> np.ndarray:
-    """The cells of ``chunk`` as a byte matrix, a row per cell, each row the
-    cell's text with zero bytes anywhere in it: int64 and float64 cells from
+    """The cells of an int64 or float64 ``chunk`` as a byte matrix, a row per
+    cell, each row the cell's text with zero bytes anywhere in it: from
     their digits (see ``_format_ints`` and ``_format_floats``) where there
-    are at least ``REPR_CELLS``, any other from ``repr`` of its ``.tolist()``
+    are at least ``REPR_CELLS``, else from ``repr`` of each ``.tolist()``
     entry."""
     if len(chunk) < REPR_CELLS:
         return _repr_cells(chunk.tolist())
-    if chunk.dtype == np.int64:
-        return _format_ints(chunk)
-    if chunk.dtype == np.float64:
-        return _format_floats(chunk)
-    return _repr_cells(chunk.tolist())
+    return _format_ints(chunk) if chunk.dtype == np.int64 else _format_floats(chunk)
 
 
 def _format_column(chunk: np.ndarray) -> np.ndarray:
-    """The cells of a contiguous ``chunk`` (see ``_format_cells``).  Runs of
-    equal bits are formatted once each, repeated, when fewer than half the
-    rows start a run."""
+    """The cells of a contiguous ``chunk`` (see ``_format_cells``); a chunk
+    of any dtype but int64 and float64 (an object column of ints beyond
+    int64, say) is ``repr`` of each ``.tolist()`` entry.  Runs of equal bits
+    are formatted once each, repeated, when fewer than half the rows start a
+    run."""
+    if chunk.dtype not in (np.int64, np.float64):
+        return _repr_cells(chunk.tolist())
     bits = chunk.view(f"u{chunk.itemsize}")
     starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     if 2 * (len(starts) + 1) >= len(chunk):
@@ -550,8 +623,8 @@ def _format_chunk(columns, lo: int, rows: int, fields: dict) -> np.ndarray:
 
 def _write_items(blocks, items, rows: int, out) -> list:
     """Format ``items``, (row offset, block) pairs of chunks of ``rows`` rows,
-    in order, into the binary file ``out``; returns the lengths of their
-    texts, in order.
+    in order, into the binary file ``out``, and flush it; returns the
+    lengths of their texts, in order.
 
     The cells of the first item formatted at an offset are kept while the
     items that follow are at the same offset, and a later item's column chunk
@@ -567,15 +640,8 @@ def _write_items(blocks, items, rows: int, out) -> list:
         else:
             fields = dict(kept)
         lengths.append(out.write(_format_chunk(blocks[b], lo, rows, fields)))
+    out.flush()
     return lengths
-
-
-def _write_run(blocks, run, rows: int, tmp, send) -> None:
-    """A helper process's work: format ``run`` into ``tmp`` and send the
-    texts' lengths through the connection ``send``."""
-    lengths = _write_items(blocks, run, rows, tmp)
-    tmp.flush()
-    send.send(lengths)
 
 
 def _split(sizes, rows: int, workers: int) -> tuple[list, list]:
@@ -613,29 +679,28 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
     """Write the rows of ``blocks`` to the binary file ``f``, in chunks of
     ``rows`` rows, in ``workers`` processes.
 
-    The items of ``_split`` are formatted run by run: run 0 by this process,
-    every other by a helper forked before run 0 starts, so it inherits
-    ``blocks`` instead of receiving a pickled copy.  Run 0 goes straight into
-    ``f`` when it begins the file in file order, as in every one-block output;
-    every other run goes to its own anonymous temp file in ``directory``.
-    Each helper sends back its texts' lengths through a pipe, and once every
-    helper has exited the texts are copied from the temp files into ``f`` in
-    file order.  Where ``directory`` takes no new file (it may be read-only
-    while ``f`` itself is writable), this process formats every item in file
+    The items of ``_split`` are formatted run by run with ``_fork``: run 0
+    by this process, every other by a child forked before run 0 starts, so
+    it inherits ``blocks``.  Run 0 goes straight into ``f`` when it begins
+    the file in file order, as in every one-block output; every other run
+    goes to its own anonymous temp file in ``directory``, and its texts'
+    lengths come back as the child's result.  Once every child has been
+    joined, the texts are copied from the temp files into ``f`` in file
+    order.  Where ``directory`` takes no new file (it may be read-only while
+    ``f`` itself is writable), this process formats every item in file
     order straight into ``f`` and forks nothing.
 
-    A helper that fails raises ``OSError``; on any failure the helpers still
-    running are terminated, and every helper is joined and every pipe and
-    temp file closed before this returns or raises.
+    A child's exception is raised here as it is, and a child that dies
+    raises ``OSError`` (see ``_fork``); every temp file is closed before
+    this returns or raises.
     """
     file_order, runs = _split(sizes, rows, workers)
     # 1 when run 0 begins the file and goes straight into f, else 0.
     straight = int(runs[0] == file_order[: len(runs[0])])
-    # A helper inherits f's buffer: it must be empty, or a flush in the
-    # helper would write its lines a second time.
+    # A child inherits f's buffer: it must be empty, or a flush in the
+    # child would write its lines a second time.
     f.flush()
-    fork = multiprocessing.get_context("fork")
-    temps, pipes, helpers = [], [], []
+    temps = []
     try:
         try:
             for _ in runs[straight:]:
@@ -644,26 +709,11 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
             _write_items(blocks, file_order, rows, f)
             return
         outs = [f] * straight + temps
-        for run, tmp in zip(runs[1:], outs[1:]):
-            receive, send = fork.Pipe(duplex=False)
-            pipes += [receive, send]
-            helper = fork.Process(target=_write_run, args=(blocks, run, rows, tmp, send))
-            helper.start()
-            helpers.append(helper)
-            send.close()  # so that a helper's death reads as EOF
-        lengths = [_write_items(blocks, runs[0], rows, outs[0])]
-        for k, (helper, receive) in enumerate(zip(helpers, pipes[::2]), 1):
-            try:
-                lengths.append(receive.recv())
-            except EOFError:  # the helper died first; its exit code says how
-                pass
-            helper.join()
-            if helper.exitcode != 0:
-                lo, b = runs[k][0]
-                raise OSError(
-                    f"CSV writer process {k} (from row {lo} of block {b}): "
-                    f"exited with code {helper.exitcode}"
-                )
+
+        def task(k):
+            return _write_items(blocks, runs[k], rows, outs[k])
+
+        lengths = _fork("CSV writer", task, len(runs))
         spans = {}
         for run, tmp, run_lengths in zip(runs[straight:], temps, lengths[straight:]):
             for item, pos, length in zip(run, accumulate(run_lengths, initial=0), run_lengths):
@@ -671,21 +721,8 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
         for item in file_order[straight * len(runs[0]) :]:
             _copy(*spans[item], f)
     finally:
-        for helper in helpers:
-            helper.terminate()  # a no-op once the helper has been joined
-            helper.join()
-            helper.close()
-        for conn in pipes:
-            conn.close()
         for tmp in temps:
             tmp.close()
-
-
-def fork_usable() -> bool:
-    """Whether this process may fork helpers: the ``fork`` start method
-    exists and no other Python thread is running, since forking a process
-    with threads is unsafe."""
-    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
 
 
 def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
@@ -725,14 +762,14 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     the cells of at most two chunks and the text of one, however many rows,
     columns and blocks there are.
 
-    The chunks are split offset-major into W = min(``threads``,
-    rows // ``CSV_CELLS``) contiguous runs of about equal rows, so an output
+    The chunks are split offset-major into W = ``_workers(threads,
+    rows // CSV_CELLS)`` contiguous runs of about equal rows, so an output
     under 2 * ``CSV_CELLS`` rows is written by this process alone, whatever
     its width, and no run is empty, since a chunk has at most ``CSV_CELLS``
-    rows.  With W > 1 this process formats run 0 and W - 1 forked helpers
+    rows.  With W > 1 this process formats run 0 and W - 1 forked children
     the others; run 0 goes straight into the file when it begins it, every
     other run through its own temp file (see ``_write_blocks``).  W drops to
-    1 where this process may not fork (``fork_usable``).  A cell's text does
+    1 where this process may not fork (``_workers``).  A cell's text does
     not depend on where a chunk or a run begins, and the texts are written in
     file order, so the bytes do not depend on W.
     """
@@ -743,9 +780,7 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
             raise ValueError(f"CSV block columns differ in length: {lengths}")
     sizes = [len(columns[0]) if columns else 0 for columns in blocks]
     rows = max(1, CSV_CELLS // max([1, *map(len, blocks)]))
-    workers = max(1, min(threads, sum(sizes) // CSV_CELLS))
-    if workers > 1 and not fork_usable():
-        workers = 1
+    workers = _workers(threads, sum(sizes) // CSV_CELLS)
     with open(path, "wb") as f:
         for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n".encode())

@@ -23,8 +23,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running: the sweep's pool
-    and the CSV writer's helpers must all be joined before they return."""
+    """Fail a test that leaves a child process running: the children the
+    sweep and the CSV writer fork must all be joined before they return."""
     yield
     children = multiprocessing.active_children()
     for child in children:

@@ -106,6 +106,23 @@ print('numpy.random' in sys.modules)
     assert (tmp_path / "episodes.csv").exists()
 
 
+@pytest.mark.parametrize("threads, loaded", [(1, True), (2, False)])
+def test_sweep_parent_with_children_loads_no_numpy_random(tmp_path, threads, loaded):
+    # With forked children the sweep's parent runs no episode, so it does not
+    # pay for the learner's generator; alone, it runs them all.
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "learning_sweep.yaml")
+    args = ["sweep", "--config", config, "--out", str(tmp_path), "--threads", str(threads)]
+    args += ["run.T_list=[1000, 2000]", "run.seeds=2"]
+    code = f"""
+import sys
+from refprice.cli import main
+assert main({args!r}) == 0
+print('numpy.random' in sys.modules)
+"""
+    assert run_fresh(code).splitlines()[-1] == str(loaded)
+    assert (tmp_path / "regret.csv").exists()
+
+
 def test_every_name_and_submodule_resolves_after_a_bare_import():
     code = f"""
 import importlib, refprice

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from refprice import cli, policies
+from refprice import cli, harness, policies
 from refprice.cli import main
 from refprice.config import (
     SEED_ENV_VAR,
@@ -303,6 +303,35 @@ def test_infinite_exploration_budget_exits_1(tmp_path, capsys, command):
     assert main(args + ["run.T=100", "run.T_list=[100]", "run.seeds=1", "policy.c_t1=1e308"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_infinite_exploration_budget_in_sweep_children_exits_1(tmp_path, capfd):
+    """The error is raised in a forked child and ends the command in one
+    line in the parent."""
+    path = os.path.join(CONFIGS, "learning_sweep.yaml")
+    args = ["sweep", "--config", path, "--out", str(tmp_path), "--threads", "2"]
+    assert main(args + ["run.T_list=[100]", "run.seeds=1", "policy.c_t1=1e308"]) == 1
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_sweep_child_that_dies_exits_1(tmp_path, capfd, monkeypatch):
+    parent = os.getpid()
+    episode_value = harness._episode_value
+
+    def dies_in_children(job):
+        if os.getpid() != parent:
+            os._exit(9)
+        return episode_value(job)
+
+    monkeypatch.setattr(harness, "_episode_value", dies_in_children)
+    path = os.path.join(CONFIGS, "learning_sweep.yaml")
+    args = ["sweep", "--config", path, "--out", str(tmp_path), "--threads", "2"]
+    assert main(args + ["run.T_list=[100]", "run.seeds=2"]) == 1
+    err = capfd.readouterr().err
+    assert err.splitlines() == ["error: sweep process 1 exited with code 9"]
     assert "Traceback" not in err
 
 

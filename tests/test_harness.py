@@ -294,20 +294,14 @@ def test_regret_sweep_threads_match_sequential(inst_symmetric):
 
 
 def test_regret_sweep_pool_no_larger_than_jobs(inst_symmetric, monkeypatch):
-    """A fork pool starts all its workers at once: a 2-job sweep starts 2,
-    whatever the thread cap."""
-    workers = []
-    pool = harness.ProcessPoolExecutor
-
-    def counting_pool(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    """Every child starts at once: a 2-job sweep starts 2, whatever the
+    thread cap, while its parent waits; ``threads=1`` starts none."""
+    starts = _count_starts(monkeypatch)
     kwargs = dict(noise=NoiseSpec.none(), policy_spec={"kind": "optimal_fixed"}, T_list=[60], seeds=1, r1=0.0)
     seq, _ = regret_sweep(inst_symmetric, **kwargs, threads=1)
+    assert starts == []
     par, _ = regret_sweep(inst_symmetric, **kwargs, threads=64)
-    assert workers == [2]
+    assert len(starts) == 2
     assert seq == par
 
 
@@ -324,6 +318,19 @@ def test_regret_sweep_rejects_empty(inst_symmetric):
     with pytest.raises(ValueError):
         regret_sweep(inst_symmetric, NoiseSpec.none(), {"kind": "optimal_fixed"}, [], 1, 0.0)
 
+
+
+def _count_starts(monkeypatch) -> list:
+    """The processes started from now on, in a list that fills as they start."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return starts
 
 
 def _from_bits(bits: int) -> float:
@@ -436,6 +443,27 @@ def test_write_csv_matches_rowwise_writer(tmp_path_factory, cells, data):
             _assert_writes_like_rowwise(out, blocks, threads)
 
 
+@pytest.mark.parametrize(
+    "column",
+    [[2**64, 1, 3], [2**64] * 35 + list(range(35))],
+    ids=["short", "70_cells"],
+)
+def test_write_csv_object_column_is_repr(tmp_path, column):
+    """Ints beyond int64 make an object column, whose cells are their
+    ``repr``, however many there are."""
+    assert np.asarray(column).dtype == object
+    _assert_writes_like_rowwise(tmp_path, [[column]], 1)
+
+
+def test_write_regret_csv_with_horizon_beyond_int64(tmp_path, monkeypatch):
+    records = [RegretRecord(T=2**64, n_seeds=1, mean_regret=1.0, stderr=0.0, baseline_value=2.0, policy_value_mean=1.0)]
+    harness.write_regret_csv(records, None, tmp_path / "chunked.csv")
+    monkeypatch.setattr(harness, "_write_csv", write_csv_rowwise)
+    harness.write_regret_csv(records, None, tmp_path / "rowwise.csv")
+    assert (tmp_path / "chunked.csv").read_text() == (tmp_path / "rowwise.csv").read_text()
+    assert "18446744073709551616,1," in (tmp_path / "chunked.csv").read_text()
+
+
 def _csv_block_fixed(n):
     """Distinct floats, a copy of them, ints and a strided view."""
     x = np.arange(n) / 7.0
@@ -482,21 +510,16 @@ SHARE_CASES = {
 def test_write_csv_shares_at_edges(tmp_path, monkeypatch, name):
     cells, blocks, threads, run_items = SHARE_CASES[name]
     monkeypatch.setattr(harness, "CSV_CELLS", cells)
-    runs, starts = [], []
+    runs = []
     split = harness._split
-    start = multiprocessing.process.BaseProcess.start
 
     def split_spy(sizes, rows, workers):
         file_order, out = split(sizes, rows, workers)
         runs.append(out)
         return file_order, out
 
-    def counting_start(process):
-        starts.append(process)
-        start(process)
-
     monkeypatch.setattr(harness, "_split", split_spy)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    starts = _count_starts(monkeypatch)
     _assert_writes_like_rowwise(tmp_path, blocks, threads)
     assert [[len(run) for run in out] for out in runs] == [run_items]
     assert len(starts) == len(run_items) - 1
@@ -607,13 +630,19 @@ def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "fail_helper, code", [(_raise, 1), (lambda: os._exit(7), 7)], ids=["raises", "dies"]
+    "fail_helper, error, match",
+    [(_raise, RuntimeError, "^injected$"), (lambda: os._exit(7), OSError, "^CSV writer process 1 .*exited with code 7$")],
+    ids=["raises", "dies"],
 )
-def test_write_csv_helper_failure_is_oserror(tmp_path, monkeypatch, fail_helper, code):
+def test_write_csv_helper_failure_is_oserror(tmp_path, capfd, monkeypatch, fail_helper, error, match):
+    """A helper's own exception is raised here as it is, and a helper that
+    dies is an ``OSError`` naming it and its exit code; neither prints a
+    traceback, and no helper or temp file is left."""
     monkeypatch.setattr(harness, "CSV_CELLS", 1)
     monkeypatch.setattr(harness, "_write_items", _failing_items(None, fail_helper))
-    with pytest.raises(OSError, match=f"CSV writer process 1 .*exited with code {code}"):
+    with pytest.raises(error, match=match):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
+    assert "Traceback" not in capfd.readouterr().err
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["out.csv"]
 
