@@ -12,7 +12,9 @@ round's demand is evaluated twice.  The clairvoyant baseline is scored the
 same way, as a noiseless ``markdown_oracle`` episode.  Episodes are
 deterministic given (instance, noise, policy spec, T, r1, seed); the seed for
 episode i of a run is base_seed + i, with the same seed list reused across
-the horizons of a sweep.
+the horizons of a sweep.  A planned path's expected total reads neither the
+noise nor the seed, so a sweep runs it once per horizon (see
+``regret_sweep``).
 
 The CSV writers format rows in chunks of a fixed number of cells, column by
 column, in numpy: each cell's bytes are exactly ``repr``'s, built from its
@@ -23,7 +25,8 @@ formatted once per process, so the bytes a writer holds do not grow with the
 rows, the columns or the blocks; a large output is split offset-major among
 forked helpers and assembled in file order, with the same bytes for any
 number of processes (see ``_write_csv``).  Every text goes to a binary file:
-the output itself, or the temp file of the process that formatted it.
+the output's temp file, renamed onto the output once whole, or the temp file
+of the process that formatted it.
 """
 
 from __future__ import annotations
@@ -59,13 +62,14 @@ REPR_CELLS = 64
 class SimEnv:
     """One pricing episode: posts prices, draws shocks, tracks the reference.
 
-    The reference ``r`` = ``total / t`` follows the running-average
-    dynamics: ``total`` is the exact running sum of r1 and the prices
-    posted, and ``t`` is the next round.  ``post_block`` posts a run of
-    rounds; a policy may post rounds itself with the same arithmetic and
-    draws.  Every round's price, reference, demand and expected revenue
-    (price times expected demand) are kept in ``prices``, ``refs``,
-    ``demands`` and ``expected_revenue``, written as the round is posted.
+    The running state is ``total``, the exact running sum of r1 and the
+    prices posted, and ``t``, the next round; the reference ``r`` is derived
+    from them, ``total / t`` (the running-average dynamics).
+    ``post_block`` posts a run of rounds; a policy may post rounds itself
+    with the same arithmetic and draws, and writes back ``t`` and ``total``.
+    Every round's price, reference, demand and expected revenue (price
+    times expected demand) are kept in ``prices``, ``refs``, ``demands`` and
+    ``expected_revenue``, written as the round is posted.
     Prices outside [0, p_max] are a hard failure.
     """
 
@@ -85,11 +89,14 @@ class SimEnv:
         self.rng = rng
         self.t = 1
         self.total = r1
-        self.r = r1
         self.prices = np.empty(T)
         self.refs = np.empty(T)
         self.demands = np.empty(T)
         self.expected_revenue = np.empty(T)
+
+    @property
+    def r(self) -> float:
+        return self.total / self.t
 
     def post_block(self, prices: Sequence[float]) -> np.ndarray:
         """Post ``prices`` in order and return their realized demands.
@@ -121,32 +128,40 @@ class SimEnv:
             self.refs[i : i + m] = refs
             self.total = float(totals[-1])
             self.t += m
-            self.r = self.total / self.t
         return out
 
 
 @dataclass
 class EpisodeRecord:
-    """Per-round log of one episode plus totals and provenance."""
+    """Per-round log of one episode plus totals and provenance.
+
+    It stores each value once: ``t``, ``realized_revenue`` and
+    ``realized_total`` are derived from ``T``, ``price`` and ``demand`` each
+    time they are read."""
 
     policy_kind: str
     seed: int
     T: int
     r1: float
     instance: Instance
-    t: np.ndarray
     price: np.ndarray
     reference: np.ndarray
     demand: np.ndarray
     expected_revenue: np.ndarray
-    realized_revenue: np.ndarray
     expected_total: float
-    realized_total: float
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if len(self.t) != self.T:
-            raise ValueError("row count must equal the horizon")
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(1, self.T + 1)
+
+    @property
+    def realized_revenue(self) -> np.ndarray:
+        return self.price * self.demand
+
+    @property
+    def realized_total(self) -> float:
+        return float(np.sum(self.realized_revenue))
 
 
 def run_episode(
@@ -173,21 +188,17 @@ def run_episode(
     policy.play(env)
     if env.t <= T:
         raise ValueError(f"policy {policy.kind!r} posted no price for round {env.t}")
-    realized_rev = env.prices * env.demands
     return EpisodeRecord(
         policy_kind=policy.kind,
         seed=seed,
         T=T,
         r1=r1,
         instance=inst,
-        t=np.arange(1, T + 1),
         price=env.prices,
         reference=env.refs,
         demand=env.demands,
         expected_revenue=env.expected_revenue,
-        realized_revenue=realized_rev,
         expected_total=float(np.sum(env.expected_revenue)),
-        realized_total=float(np.sum(realized_rev)),
         meta=policy.meta(),
     )
 
@@ -309,13 +320,20 @@ def regret_sweep(
 ) -> tuple[list[RegretRecord], Optional[float]]:
     """Mean regret per horizon plus the fitted log-log slope.
 
-    Every horizon's baseline and episodes go to one job list, in ``T_list``
-    order, run by W = ``_workers(threads, jobs)`` processes, which take the
-    jobs one at a time, largest horizon first, from one shared counter.
-    With W > 1 they are W forked children while this process waits
-    (``_fork``), else this process alone.  Results are read back by job
-    index, so they do not depend on ``threads``, and a child's failure is
-    raised here.
+    Each horizon gets a job for its baseline and one for each episode the
+    policy needs.  A learner runs ``seeds`` episodes, seeds ``base_seed`` to
+    ``base_seed + seeds - 1``.  A planned kind (every kind but
+    ``learn_then_earn``) runs one, without noise: its prices are fixed
+    before the episode, and expected revenue never reads a shock, so every
+    seed's episode has the same expected total, and that one value fills
+    each seed's slot of the mean and the standard error.
+
+    The jobs, in ``T_list`` order, are run largest horizon first by W =
+    ``_workers(threads, jobs)`` processes.  With W = 1 this process runs
+    them; with W > 1 it waits while W forked children (``_fork``) take them
+    one at a time from one shared counter, and a child's failure is raised
+    here.  Results are read back by job index, so they do not depend on
+    ``threads``.
 
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
@@ -326,32 +344,37 @@ def regret_sweep(
         raise ValueError("T_list must not be empty")
     if seeds < 1:
         raise ValueError("need at least one seed")
+    learner = policy_spec["kind"] == "learn_then_earn"
+    runs, episode_noise = (seeds, noise) if learner else (1, NoiseSpec.none())
     jobs = []
     for T in T_list:
         jobs.append(_baseline_job(inst, r1, T))
-        jobs.extend((inst, noise, policy_spec, T, r1, base_seed + i) for i in range(seeds))
+        jobs.extend((inst, episode_noise, policy_spec, T, r1, base_seed + i) for i in range(runs))
     order = sorted(range(len(jobs)), key=lambda j: -jobs[j][3])
     workers = _workers(threads, len(jobs))
-    # The count of jobs of order handed out, in memory shared with the children.
-    claimed, lock = memoryview(mmap.mmap(-1, 8)).cast("q"), multiprocessing.Lock()
+    if workers == 1:
+        done = [(j, _episode_value(jobs[j])) for j in order]
+    else:
+        # The count of jobs of order handed out, in memory shared with the children.
+        claimed, lock = memoryview(mmap.mmap(-1, 8)).cast("q"), multiprocessing.Lock()
 
-    def claim():
-        with lock:
-            i = claimed[0]
-            claimed[0] = i + 1
-        return order[i] if i < len(jobs) else None
+        def claim():
+            with lock:
+                i = claimed[0]
+                claimed[0] = i + 1
+            return order[i] if i < len(jobs) else None
 
-    def task(k):
-        # With children this process only waits: episodes run here would add
-        # their memory (and numpy.random) to its own.
-        if k == 0 and workers > 1:
-            return []
-        return [(j, _episode_value(jobs[j])) for j in iter(claim, None)]
+        def task(k):
+            # This process only waits: episodes run here would add their
+            # memory (and numpy.random) to its own.
+            return [(j, _episode_value(jobs[j])) for j in iter(claim, None)] if k else []
 
-    results = [value for _, value in sorted(chain(*_fork("sweep", task, workers + (workers > 1))))]
+        done = chain(*_fork("sweep", task, workers + 1))
+    results = [value for _, value in sorted(done)]
     records = []
     for k, T in enumerate(T_list):
-        (v_star, _), *episodes = results[k * (seeds + 1) : (k + 1) * (seeds + 1)]
+        (v_star, _), *episodes = results[k * (runs + 1) : (k + 1) * (runs + 1)]
+        episodes *= seeds // runs  # a planned kind: its one value in every seed's slot
         values = np.asarray([value for value, _ in episodes])
         mean_value = float(np.mean(values))
         regret = v_star - mean_value
@@ -730,6 +753,15 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     each block's columns as rows, then the ``footer`` lines, as UTF-8 bytes
     into a file opened in binary mode.
 
+    The output appears whole or not at all.  The text goes to a new file in
+    the output's directory, created as ``open`` would create the output
+    (mode 0o666 less the umask), and that file is renamed onto ``path`` with
+    ``os.replace`` once it is complete.  On any failure it is removed, and a
+    previous ``path`` keeps its bytes.  Where the directory takes no new
+    file (it may be read-only while ``path`` itself is writable), the text
+    is written into ``path`` in place, and a failure there can leave it
+    partial.
+
     A block is a sequence of equal-length int or float columns (arrays,
     views or lists); columns of unequal length raise ``ValueError`` before
     the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
@@ -781,13 +813,26 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     sizes = [len(columns[0]) if columns else 0 for columns in blocks]
     rows = max(1, CSV_CELLS // max([1, *map(len, blocks)]))
     workers = _workers(threads, sum(sizes) // CSV_CELLS)
-    with open(path, "wb") as f:
-        for key, value in sorted(meta.items()):
-            f.write(f"# {key}={value}\n".encode())
-        f.write((header + "\n").encode())
-        _write_blocks(f, blocks, sizes, rows, workers, os.path.dirname(os.path.abspath(path)))
-        for line in footer:
-            f.write((line + "\n").encode())
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    except OSError:  # the directory takes no new file: write the output in place
+        tmp, f = None, open(path, "wb")
+    try:
+        with f:
+            for key, value in sorted(meta.items()):
+                f.write(f"# {key}={value}\n".encode())
+            f.write((header + "\n").encode())
+            _write_blocks(f, blocks, sizes, rows, workers, directory)
+            for line in footer:
+                f.write((line + "\n").encode())
+        if tmp is not None:
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise
 
 
 def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1) -> None:
@@ -810,11 +855,12 @@ def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1)
         for key in ("t1_budget", "ra", "rb", "t2", "reset_rounds", "degenerate"):
             if key in rec.meta:
                 meta[f"policy_{key}"] = rec.meta[key]
+    t = np.arange(1, max((rec.T for rec in records), default=0) + 1)
     blocks = (
         (
             np.broadcast_to(i, rec.T),
             np.broadcast_to(rec.seed, rec.T),
-            rec.t,
+            t[: rec.T],
             rec.price,
             rec.reference,
             rec.demand,

@@ -247,9 +247,9 @@ class LearnGreedyState:
         other bit generator) each draw is one scalar call.
 
         A price or reference out of range raises ``DomainError`` as the
-        round-by-round loop does: the env's ``t``, ``total`` and ``r`` and
-        the learner's state are left after the last round posted, and
-        ``reset_rounds`` does not count the plan that failed.
+        round-by-round loop does: the env's ``t`` and ``total`` (so its
+        ``r``) and the learner's state are left after the last round posted,
+        and ``reset_rounds`` does not count the plan that failed.
         """
         inst, noise, T, rng = env.inst, env.noise, env.T, env.rng
         a, b, eta_plus, eta_minus = inst.a, inst.b, inst.eta_plus, inst.eta_minus
@@ -287,7 +287,7 @@ class LearnGreedyState:
                             buf.clear()
                         plan = np.full(m, extreme)
                         plan[n:] = correction  # nothing when the horizon cut the plan
-                        env.t, env.total, env.r = t, total, r
+                        env.t, env.total = t, total
                         try:
                             env.post_block(plan)
                         finally:  # it may raise after posting a chunk
@@ -330,7 +330,7 @@ class LearnGreedyState:
         finally:
             if buffered:
                 bitgen.advance(-len(buf))
-            env.t, env.total, env.r = t, total, r
+            env.t, env.total = t, total
             self.s, self.p_hat, self.sum_iterates = s, p_hat, sum_iterates
 
     def estimate(self) -> float:

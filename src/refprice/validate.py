@@ -213,46 +213,20 @@ def scalar_solve_curve(
     raise SolverError("no feasible markdown start")
 
 
-@dataclass(frozen=True)
-class FocSystem:
-    """Dense form of the optimality conditions on [markdown_start, horizon].
+def dense_solve(theta: PolicyParams, r_md: float, markdown_start: int, horizon: int) -> np.ndarray:
+    """Solve the optimality conditions on [markdown_start, horizon] in dense
+    form directly.  Test oracle; O(n^3), keep n small.
 
     Row/column k corresponds to round s_k = markdown_start + k; off-diagonal
     entry (i, j) is -c1 / s_max(i,j) and the right-hand side is
     c1 * markdown_start * r_md / s_k + c2.
     """
-
-    markdown_start: int
-    horizon: int
-    theta: PolicyParams
-    r_md: float
-
-    @property
-    def n(self) -> int:
-        return self.horizon - self.markdown_start + 1
-
-    def rounds(self) -> np.ndarray:
-        return np.arange(self.markdown_start, self.horizon + 1, dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        s = self.rounds()
-        a = -self.theta.c1 / np.maximum.outer(s, s)
-        np.fill_diagonal(a, 1.0)
-        return a
-
-    def rhs(self) -> np.ndarray:
-        s = self.rounds()
-        return self.theta.c1 * self.markdown_start * self.r_md / s + self.theta.c2
-
-    def dominance_margin(self) -> float:
-        return dominance_margin(self.theta.c1, self.markdown_start, self.horizon)
-
-
-def dense_solve(system: FocSystem) -> np.ndarray:
-    """Solve the dense system directly.  Test oracle; O(n^3), keep n small."""
-    if system.dominance_margin() <= 0.0:
+    if dominance_margin(theta.c1, markdown_start, horizon) <= 0.0:
         raise SolverError("system is not strictly diagonally dominant")
-    return np.linalg.solve(system.matrix(), system.rhs())
+    s = np.arange(markdown_start, horizon + 1, dtype=float)
+    a = -theta.c1 / np.maximum.outer(s, s)
+    np.fill_diagonal(a, 1.0)
+    return np.linalg.solve(a, theta.c1 * markdown_start * r_md / s + theta.c2)
 
 
 def _segment_initial_prices(
@@ -373,12 +347,9 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
         horizon = int(rng.integers(2, 201))
         markdown_start = int(rng.integers(1, horizon + 1))
         r_md = rng.uniform(0.0, p_max)
-        system = FocSystem(
-            markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md
-        )
-        if system.dominance_margin() <= 0.0:
+        if dominance_margin(theta.c1, markdown_start, horizon) <= 0.0:
             continue
-        dense = dense_solve(system)
+        dense = dense_solve(theta, r_md, markdown_start, horizon)
         scalar, _ = solve_segment(theta, r_md, markdown_start, horizon)
         # Started at markdown_start under a ceiling above every price, the
         # solved curve is the segment alone.

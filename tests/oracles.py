@@ -42,7 +42,6 @@ def post(env, price: float) -> float:
     env.expected_revenue[i] = price * expected
     env.total += price
     env.t += 1
-    env.r = env.total / env.t
     return demand
 
 

@@ -54,7 +54,6 @@ def test_every_public_name_imports():
 
 def test_oracles_live_in_validate():
     oracles = (
-        "FocSystem",
         "dense_solve",
         "linear_scan_markdown_start",
         "brute_force_reset",

@@ -18,10 +18,10 @@ from refprice import (
 from refprice import curve as curve_module
 from refprice.policies import PlannedPolicy
 from refprice.validate import (
-    FocSystem,
     check_curve_lipschitz,
     curve_from_markdown_start,
     dense_solve,
+    dominance_margin,
     linear_scan_markdown_start,
     random_instance,
     random_theta,
@@ -38,14 +38,12 @@ def test_terminal_round_formula():
 
 
 def test_dense_decoupled_when_c1_zero():
-    system = FocSystem(markdown_start=3, horizon=12, theta=PolicyParams(0.0, 0.8), r_md=1.0)
-    assert np.allclose(dense_solve(system), 0.8)
+    assert np.allclose(dense_solve(PolicyParams(0.0, 0.8), 1.0, 3, 12), 0.8)
 
 
 def test_dense_one_by_one():
     theta = PolicyParams(0.2, 0.6)
-    system = FocSystem(markdown_start=9, horizon=9, theta=theta, r_md=0.7)
-    assert dense_solve(system)[0] == pytest.approx(0.2 * 0.7 + 0.6, abs=1e-12)
+    assert dense_solve(theta, 0.7, 9, 9)[0] == pytest.approx(0.2 * 0.7 + 0.6, abs=1e-12)
 
 
 def test_dense_vs_recursion_random(rng):
@@ -57,10 +55,9 @@ def test_dense_vs_recursion_random(rng):
         horizon = int(rng.integers(2, 201))
         markdown_start = int(rng.integers(1, horizon + 1))
         r_md = rng.uniform(0.0, p_max)
-        system = FocSystem(markdown_start=markdown_start, horizon=horizon, theta=theta, r_md=r_md)
-        if system.dominance_margin() <= 0:
+        if dominance_margin(theta.c1, markdown_start, horizon) <= 0:
             continue
-        dense = dense_solve(system)
+        dense = dense_solve(theta, r_md, markdown_start, horizon)
         fast, _ = solve_segment(theta, r_md, markdown_start, horizon)
         scan = solve_curve(theta, r_md, markdown_start, horizon, 2.0 * max(r_md, dense.max()))
         assert scan.markdown_start == markdown_start
@@ -71,10 +68,9 @@ def test_dense_vs_recursion_random(rng):
 
 def test_dense_refuses_without_dominance():
     theta = PolicyParams(0.45, 0.7)
-    system = FocSystem(markdown_start=1, horizon=500, theta=theta, r_md=1.0)
-    assert system.dominance_margin() <= 0
+    assert dominance_margin(theta.c1, 1, 500) <= 0
     with pytest.raises(SolverError):
-        dense_solve(system)
+        dense_solve(theta, 1.0, 1, 500)
     with pytest.raises(SolverError):
         solve_segment(theta, 1.0, 1, 500)
 
@@ -364,9 +360,8 @@ def test_curve_value_monotone_in_start_reference(rng):
 
 def test_segment_initial_price_matches_dense(rng):
     theta = PolicyParams(0.15, 0.55)
-    system = FocSystem(markdown_start=4, horizon=120, theta=theta, r_md=0.9)
     assert segment_initial_price(theta, 0.9, 4, 120) == pytest.approx(
-        dense_solve(system)[0], abs=1e-10
+        dense_solve(theta, 0.9, 4, 120)[0], abs=1e-10
     )
 
 

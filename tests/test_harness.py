@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import struct
@@ -16,7 +17,6 @@ from refprice import (
     Instance,
     NoiseSpec,
     clairvoyant_value,
-    make_policy,
     regret_sweep,
     run_episode,
     revenue,
@@ -319,6 +319,91 @@ def test_regret_sweep_rejects_empty(inst_symmetric):
         regret_sweep(inst_symmetric, NoiseSpec.none(), {"kind": "optimal_fixed"}, [], 1, 0.0)
 
 
+PLANNED_SPECS = {
+    "fixed": {"kind": "fixed", "price": 0.9},
+    "optimal_fixed": {"kind": "optimal_fixed"},
+    "two_price": {"kind": "two_price", "alpha": 0.3},
+    "myopic_greedy": {"kind": "myopic_greedy"},
+    "markdown_oracle": {"kind": "markdown_oracle"},
+    "markdown_oracle_theta": {"kind": "markdown_oracle", "theta": [0.15, 0.7]},
+}
+
+
+def _sweep_by_seed(inst, noise, spec, T_list, seeds, r1, base_seed):
+    """``regret_sweep``'s result built the long way: the baseline and every
+    seed's episode, with its noise, from ``run_episode``."""
+    records = []
+    for T in T_list:
+        v_star = run_episode(inst, NoiseSpec.none(), {"kind": "markdown_oracle"}, T, r1, 0).expected_total
+        values = np.asarray(
+            [run_episode(inst, noise, spec, T, r1, base_seed + i).expected_total for i in range(seeds)]
+        )
+        mean_value = float(np.mean(values))
+        regret = v_star - mean_value
+        stderr = float(np.std(values, ddof=1) / np.sqrt(seeds)) if seeds > 1 else 0.0
+        records.append(
+            RegretRecord(T, seeds, regret, stderr, v_star, mean_value, regret < -1e-6 * abs(v_star))
+        )
+    return records, fit_loglog_slope(records)
+
+
+def _bits(result):
+    records, slope = result
+    rows = [tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(r)) for r in records]
+    return rows, None if slope is None else slope.hex()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seeds", [1, 3])
+@pytest.mark.parametrize("noise", NOISES, ids=lambda noise: noise.kind)
+@pytest.mark.parametrize("kind", sorted(PLANNED_SPECS))
+def test_planned_sweep_matches_every_seed(inst_symmetric, kind, noise, seeds, threads):
+    """One noiseless episode per horizon gives the records, bit for bit, of
+    one episode per seed with the sweep's noise."""
+    args = (inst_symmetric, noise, PLANNED_SPECS[kind], [40, 90, 200], seeds, 0.4, 5)
+    assert _bits(regret_sweep(*args, threads=threads)) == _bits(_sweep_by_seed(*args))
+
+
+@pytest.mark.parametrize(
+    "spec, runs, noisy",
+    [({"kind": "myopic_greedy"}, 1, 0), ({"kind": "learn_then_earn", "c_t1": 2.0}, 4, 4)],
+    ids=["planned", "learner"],
+)
+def test_regret_sweep_episode_count(inst_symmetric, monkeypatch, spec, runs, noisy):
+    """A planned kind runs its baseline and one noiseless episode per
+    horizon, a learner its baseline and one episode per seed, with noise."""
+    noises = []
+    episode_value = harness._episode_value
+
+    def counting(job):
+        noises.append(job[1].kind)
+        return episode_value(job)
+
+    monkeypatch.setattr(harness, "_episode_value", counting)
+    regret_sweep(inst_symmetric, NoiseSpec.bounded_uniform(0.1), spec, [300, 600, 900], 4, 1.2, threads=1)
+    assert len(noises) == 3 * (1 + runs)
+    assert noises.count("bounded_uniform") == 3 * noisy
+
+
+def test_serial_sweep_makes_no_lock(inst_symmetric, monkeypatch):
+    """``threads=1`` runs every job here: it needs no lock, so a missing
+    POSIX semaphore does not stop it."""
+    kwargs = dict(
+        noise=NoiseSpec.bounded_uniform(0.1),
+        policy_spec={"kind": "learn_then_earn", "c_t1": 2.0},
+        T_list=[300, 600],
+        seeds=2,
+        r1=1.2,
+    )
+    expected = regret_sweep(inst_symmetric, **kwargs, threads=1)
+
+    def no_semaphore():
+        raise ImportError("This platform lacks a functioning sem_open implementation")
+
+    monkeypatch.setattr(harness.multiprocessing, "Lock", no_semaphore)
+    assert regret_sweep(inst_symmetric, **kwargs, threads=1) == expected
+
+
 
 def _count_starts(monkeypatch) -> list:
     """The processes started from now on, in a list that fills as they start."""
@@ -564,10 +649,11 @@ def _long_blocks():
 
 
 def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch):
-    """A read-only directory holding writable output files: the temp files
-    cannot be made there, so this process formats every chunk in file order
-    straight into the file and starts no process.  Root ignores the
-    directory's mode, so the refusal is also made by ``tempfile``."""
+    """A read-only directory holding writable output files: neither the
+    output's temp file nor the runs' can be made there, so this process
+    formats every chunk in file order straight into the output, in place,
+    and starts no process.  Root ignores the directory's mode, so the
+    refusal is also made by ``os.open`` and ``tempfile``."""
     monkeypatch.setattr(harness, "CSV_CELLS", 1)
     starts = []
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
@@ -575,11 +661,20 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
     def refuse(*args, dir=None, **kwargs):
         raise PermissionError(13, "Permission denied", dir)
 
+    os_open = os.open
+
+    def refuse_new(path, flags, *args):
+        if flags & os.O_CREAT:
+            raise PermissionError(13, "Permission denied", path)
+        return os_open(path, flags, *args)
+
     monkeypatch.setattr(harness.tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr(harness.os, "open", refuse_new)
     out = tmp_path / "read_only"
     out.mkdir()
     for name in ("chunked.csv", "rowwise.csv"):
         (out / name).write_text("")
+    inode = os.stat(out / "chunked.csv").st_ino
     out.chmod(0o555)
     try:
         _assert_writes_like_rowwise(out, _long_blocks(), 3)
@@ -587,6 +682,7 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
         out.chmod(0o755)
     assert starts == []
     assert sorted(os.listdir(out)) == ["chunked.csv", "rowwise.csv"]
+    assert os.stat(out / "chunked.csv").st_ino == inode
 
 
 def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
@@ -637,14 +733,14 @@ def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch)
 def test_write_csv_helper_failure_is_oserror(tmp_path, capfd, monkeypatch, fail_helper, error, match):
     """A helper's own exception is raised here as it is, and a helper that
     dies is an ``OSError`` naming it and its exit code; neither prints a
-    traceback, and no helper or temp file is left."""
+    traceback, and no helper, temp file or output is left."""
     monkeypatch.setattr(harness, "CSV_CELLS", 1)
     monkeypatch.setattr(harness, "_write_items", _failing_items(None, fail_helper))
     with pytest.raises(error, match=match):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert "Traceback" not in capfd.readouterr().err
     assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == ["out.csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
@@ -656,7 +752,32 @@ def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert time.perf_counter() - t0 < 30
     assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == []
+
+
+def _fail_copy(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stage", ["format", "helper", "copy", "rename"])
+def test_failed_write_keeps_the_previous_output(tmp_path, monkeypatch, stage):
+    """A write that fails at any stage leaves no new file, and the output
+    already at the path keeps its bytes."""
+    monkeypatch.setattr(harness, "CSV_CELLS", 1)
+    if stage == "format":
+        monkeypatch.setattr(harness, "_write_items", _failing_items(_raise, None))
+    elif stage == "helper":
+        monkeypatch.setattr(harness, "_write_items", _failing_items(None, lambda: os._exit(7)))
+    elif stage == "copy":
+        monkeypatch.setattr(harness, "_copy", _fail_copy)
+    else:
+        monkeypatch.setattr(harness.os, "replace", _fail_copy)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"h\n1\n")
+    with pytest.raises((RuntimeError, OSError)):
+        _write_csv(out, {}, "h", _long_blocks(), threads=3)
     assert os.listdir(tmp_path) == ["out.csv"]
+    assert out.read_bytes() == b"h\n1\n"
 
 
 def _two_price_records(seeds, T):
@@ -749,14 +870,20 @@ def test_write_csv_memory_is_bounded_by_the_cell_budget(tmp_path, width):
 
 @pytest.mark.parametrize("noise", NOISES, ids=lambda noise: noise.kind)
 def test_episode_memory_is_bounded_by_the_block_chunk(inst_symmetric, noise):
-    """Over its outputs (the env's four columns, the record's ``t`` and
-    realized revenue, 48 B a round), an episode holds a few
+    """Over its outputs (the price path and the env's four columns, 40 B a
+    round: the record stores nothing more), a planned episode holds a few
     ``BLOCK_CHUNK``-round temporaries at most, not T-round ones."""
     inst, T, r1 = inst_symmetric, 64 * BLOCK_CHUNK + 7, 0.4
-    policy = make_policy({"kind": "two_price", "alpha": 0.3}, inst, T, r1, None)
     np.random.default_rng(0)  # loads numpy.random, whose import is not the episode's
-    peak = _traced_peak(lambda: run_episode(inst, noise, policy, T, r1, 0))
-    assert peak - 48 * T <= 4 * 8 * BLOCK_CHUNK
+    spec = {"kind": "two_price", "alpha": 0.3}
+    peak = _traced_peak(lambda: run_episode(inst, noise, spec, T, r1, 0))
+    assert peak - 40 * T <= 8 * 8 * BLOCK_CHUNK
+
+
+def test_write_csv_output_has_the_mode_open_gives(tmp_path):
+    _write_csv(tmp_path / "out.csv", {}, "h", [[np.arange(3)]])
+    (tmp_path / "plain").write_bytes(b"")
+    assert os.stat(tmp_path / "out.csv").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 def test_episode_evaluates_each_round_once(inst_symmetric, monkeypatch):
