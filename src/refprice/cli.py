@@ -18,6 +18,7 @@ cannot be allocated), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -98,17 +99,26 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _episodes(cfg: ExperimentConfig) -> list:
+    """The record of every seed's episode.  A planned path does not depend
+    on the seed, so it is built once; without noise a planned episode draws
+    nothing either, so it runs once and every seed's record shares its
+    arrays, with only ``seed`` changed.  The path itself is dropped on
+    return."""
+    seeds = range(cfg.run.base_seed, cfg.run.base_seed + cfg.run.seeds)
+    policy = cfg.policy
+    if policy["kind"] != "learn_then_earn":
+        policy = make_policy(policy, cfg.instance, cfg.run.T, cfg.run.r1, rng=None)
+        if cfg.noise.kind == "none":
+            rec = run_episode(cfg.instance, cfg.noise, policy, cfg.run.T, cfg.run.r1, seeds[0])
+            return [dataclasses.replace(rec, seed=seed) for seed in seeds]
+    return [run_episode(cfg.instance, cfg.noise, policy, cfg.run.T, cfg.run.r1, seed) for seed in seeds]
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.run.T is None:
         raise ConfigError("simulate requires run.T")
-    policy = cfg.policy
-    if policy["kind"] != "learn_then_earn":
-        # A planned path does not depend on the seed: build it once.
-        policy = make_policy(policy, cfg.instance, cfg.run.T, cfg.run.r1, rng=None)
-    records = [
-        run_episode(cfg.instance, cfg.noise, policy, cfg.run.T, cfg.run.r1, cfg.run.base_seed + i)
-        for i in range(cfg.run.seeds)
-    ]
+    records = _episodes(cfg)
     path = os.path.join(_outdir(cfg), "episodes.csv")
     write_episodes_csv(records, path, threads=cfg.run.threads)
     mean_total = sum(r.expected_total for r in records) / len(records)

@@ -14,7 +14,9 @@ deterministic given (instance, noise, policy spec, T, r1, seed); the seed for
 episode i of a run is base_seed + i, with the same seed list reused across
 the horizons of a sweep.  A planned path's expected total reads neither the
 noise nor the seed, so a sweep runs it once per horizon (see
-``regret_sweep``).
+``regret_sweep``); and a planned episode without noise draws nothing, so it
+is the same for every seed: ``simulate`` runs it once, and every seed's
+record shares its arrays.
 
 The CSV writers format rows in chunks of a fixed number of cells, column by
 column, in numpy: each cell's bytes are exactly ``repr``'s, built from its
@@ -24,9 +26,11 @@ within a block or across blocks (episodes) at the same row offset, is
 formatted once per process, so the bytes a writer holds do not grow with the
 rows, the columns or the blocks; a large output is split offset-major among
 forked helpers and assembled in file order, with the same bytes for any
-number of processes (see ``_write_csv``).  Every text goes to a binary file:
-the output's temp file, renamed onto the output once whole, or the temp file
-of the process that formatted it.
+number of processes (see ``_write_csv``).  A column is read only through
+``len`` and slicing, so a derived column, ``episodes.csv``'s
+``realized_revenue``, is made a chunk at a time and never whole.  Every text
+goes to a binary file: the output's temp file, renamed onto the output once
+whole, or the temp file of the process that formatted it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import os
+import re
 import tempfile
 import threading
 from bisect import bisect_left
@@ -326,7 +331,9 @@ def regret_sweep(
     ``learn_then_earn``) runs one, without noise: its prices are fixed
     before the episode, and expected revenue never reads a shock, so every
     seed's episode has the same expected total, and that one value fills
-    each seed's slot of the mean and the standard error.
+    each seed's slot of the mean and the standard error.  A
+    ``markdown_oracle`` spec without ``theta`` is the baseline's policy, so
+    it runs none: the baseline's value fills the slots.
 
     The jobs, in ``T_list`` order, are run largest horizon first by W =
     ``_workers(threads, jobs)`` processes.  With W = 1 this process runs
@@ -346,6 +353,8 @@ def regret_sweep(
         raise ValueError("need at least one seed")
     learner = policy_spec["kind"] == "learn_then_earn"
     runs, episode_noise = (seeds, noise) if learner else (1, NoiseSpec.none())
+    if policy_spec["kind"] == "markdown_oracle" and policy_spec.get("theta") is None:
+        runs = 0  # the baseline's own episode: its job gives the policy's value
     jobs = []
     for T in T_list:
         jobs.append(_baseline_job(inst, r1, T))
@@ -373,8 +382,10 @@ def regret_sweep(
     results = [value for _, value in sorted(done)]
     records = []
     for k, T in enumerate(T_list):
-        (v_star, _), *episodes = results[k * (runs + 1) : (k + 1) * (runs + 1)]
-        episodes *= seeds // runs  # a planned kind: its one value in every seed's slot
+        horizon = results[k * (runs + 1) : (k + 1) * (runs + 1)]
+        v_star, episodes = horizon[0][0], horizon[1:] or horizon
+        # A planned kind's one value (the baseline's, where it ran none) in every seed's slot.
+        episodes *= seeds // len(episodes)
         values = np.asarray([value for value, _ in episodes])
         mean_value = float(np.mean(values))
         regret = v_star - mean_value
@@ -748,24 +759,71 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
             tmp.close()
 
 
+def _remove_stale_temps(directory: str, name: str) -> None:
+    """Remove the output temp files ``.<name>.<pid>.tmp`` in ``directory``
+    that no running write owns: this process's, as its write of the output
+    starts now, and those of a pid no process has, left by a write killed
+    outright.  Another live pid's temp may be a write in progress, and is
+    kept.  A file that cannot be listed or removed is left as it is."""
+    own = os.getpid()
+    try:
+        entries = os.listdir(directory)
+    except OSError:
+        return
+    for entry in entries:
+        # A pid of at most 9 digits, so that ``os.kill`` takes it.
+        match = re.fullmatch(rf"\.{re.escape(name)}\.([1-9][0-9]{{0,8}})\.tmp", entry)
+        if match is None:
+            continue
+        pid = int(match[1])
+        if pid != own and _pid_alive(pid):
+            continue
+        try:
+            os.unlink(os.path.join(directory, entry))
+        except OSError:
+            pass
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether some process, of any user, has the id ``pid``; True where
+    this cannot be told without a signal (``os.kill`` ends a process on
+    Windows)."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
+
+
 def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 1) -> None:
     """Write the ``# key=value`` lines of ``meta`` in key order, the header,
     each block's columns as rows, then the ``footer`` lines, as UTF-8 bytes
     into a file opened in binary mode.
 
-    The output appears whole or not at all.  The text goes to a new file in
-    the output's directory, created as ``open`` would create the output
-    (mode 0o666 less the umask), and that file is renamed onto ``path`` with
-    ``os.replace`` once it is complete.  On any failure it is removed, and a
-    previous ``path`` keeps its bytes.  Where the directory takes no new
-    file (it may be read-only while ``path`` itself is writable), the text
-    is written into ``path`` in place, and a failure there can leave it
-    partial.
+    The output appears whole or not at all.  The text goes to a new file,
+    ``.<name>.<pid>.tmp`` in the output's directory, created as ``open``
+    would create the output (mode 0o666 less the umask), and that file is
+    renamed onto ``path`` with ``os.replace`` once it is complete.  On any
+    failure it is removed, and a previous ``path`` keeps its bytes.  A temp
+    of the output that a write killed outright left behind is removed first
+    where its pid is dead or this process's own (``_remove_stale_temps``),
+    so it does not stop the write going through a temp.  Where the
+    directory takes no new file (it may be read-only while ``path`` itself
+    is writable), the text is written into ``path`` in place, and a failure
+    there can leave it partial.
 
-    A block is a sequence of equal-length int or float columns (arrays,
-    views or lists); columns of unequal length raise ``ValueError`` before
-    the file is opened.  A cell is ``repr`` of the column's ``.tolist()``
-    entry: ints print as ints, floats in their shortest round-trip form.
+    A block is a sequence of equal-length int or float columns; columns of
+    unequal length raise ``ValueError`` before the file is opened.  A list
+    or tuple column is made an array whole; any other column is read only
+    through ``len`` and slicing, a chunk at a time, so an array, a view, or
+    a column made per slice (``_Product``) serves, and a column made per
+    slice is never held whole.  A cell is ``repr`` of the column's
+    ``.tolist()`` entry: ints print as ints, floats in their shortest
+    round-trip form.
 
     The cells are made in numpy with exactly ``repr``'s bytes: an int64
     cell from its digits (pairs looked up in a 100-entry table), a float64
@@ -805,7 +863,10 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     not depend on where a chunk or a run begins, and the texts are written in
     file order, so the bytes do not depend on W.
     """
-    blocks = [[np.asarray(column) for column in columns] for columns in blocks]
+    blocks = [
+        [np.asarray(column) if isinstance(column, (list, tuple)) else column for column in columns]
+        for columns in blocks
+    ]
     for columns in blocks:
         lengths = [len(column) for column in columns]
         if len(set(lengths)) > 1:
@@ -814,7 +875,9 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
     rows = max(1, CSV_CELLS // max([1, *map(len, blocks)]))
     workers = _workers(threads, sum(sizes) // CSV_CELLS)
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    name = os.path.basename(path)
+    _remove_stale_temps(directory, name)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     except OSError:  # the directory takes no new file: write the output in place
@@ -835,11 +898,33 @@ def _write_csv(path, meta: dict, header: str, blocks, footer=(), threads: int = 
         raise
 
 
+class _Product:
+    """The column ``a * b``, made a slice at a time: the CSV writer reads a
+    column only through ``len`` and slicing, so no whole column is made."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.a[rows] * self.b[rows]
+
+
 def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1) -> None:
     """Every round of every episode, one block per episode, after ``#
     key=value`` lines for the run.  The ``# policy_*`` lines (such as a
     learner's ``t2``, ``reset_rounds`` and ``degenerate``) describe the
-    first episode only; later episodes may differ."""
+    first episode only; later episodes may differ.
+
+    The ``t`` column is one array shared by every block, and
+    ``realized_revenue`` is ``price * demand`` made a chunk at a time, the
+    same products with the same bits as ``EpisodeRecord.realized_revenue``;
+    so the writer holds no T-round column of its own.  Records may share
+    their arrays: the records of a planned episode without noise, the same
+    for every seed, differ only in ``seed``, and their repeated column
+    chunks are formatted once per process."""
     meta = {}
     if records:
         rec = records[0]
@@ -865,7 +950,7 @@ def write_episodes_csv(records: Sequence[EpisodeRecord], path, threads: int = 1)
             rec.reference,
             rec.demand,
             rec.expected_revenue,
-            rec.realized_revenue,
+            _Product(rec.price, rec.demand),
         )
         for i, rec in enumerate(records)
     )

@@ -149,6 +149,39 @@ def test_simulate_solves_a_planned_path_once(tmp_path, monkeypatch):
     assert (tmp_path / "episodes.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config, overrides, runs",
+    [
+        ("default.yaml", [], 1),
+        ("two_price_gap.yaml", [], 1),
+        ("two_price_gap.yaml", ["noise.kind=gaussian", "noise.std=0.1"], 3),
+        ("learning_sweep.yaml", [], 3),
+    ],
+    ids=["markdown_oracle", "two_price", "two_price_noisy", "learner"],
+)
+def test_simulate_runs_a_noiseless_planned_episode_once(tmp_path, monkeypatch, config, overrides, runs):
+    """An episode that draws nothing is the same for every seed: it runs
+    once, and the output has the bytes of one episode run per seed."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return run_episode(*args)
+
+    monkeypatch.setattr(cli, "run_episode", counting)
+    config = os.path.join(CONFIGS, config)
+    overrides = ["run.T=3000", "run.seeds=3", "run.base_seed=4", *overrides]
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)] + overrides) == 0
+    assert calls == [4, 5, 6][:runs]
+    cfg = load_config(config, overrides=overrides)
+    records = [
+        run_episode(cfg.instance, cfg.noise, cfg.policy, cfg.run.T, cfg.run.r1, seed)
+        for seed in range(4, 7)
+    ]
+    write_episodes_csv(records, tmp_path / "per_seed.csv")
+    assert (tmp_path / "episodes.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     overrides = {
         "policy": {"kind": "learn_then_earn", "c_t1": 2.0},

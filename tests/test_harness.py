@@ -2,6 +2,8 @@ import dataclasses
 import multiprocessing
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -366,12 +368,18 @@ def test_planned_sweep_matches_every_seed(inst_symmetric, kind, noise, seeds, th
 
 @pytest.mark.parametrize(
     "spec, runs, noisy",
-    [({"kind": "myopic_greedy"}, 1, 0), ({"kind": "learn_then_earn", "c_t1": 2.0}, 4, 4)],
-    ids=["planned", "learner"],
+    [
+        ({"kind": "myopic_greedy"}, 1, 0),
+        ({"kind": "markdown_oracle", "theta": None}, 0, 0),
+        ({"kind": "learn_then_earn", "c_t1": 2.0}, 4, 4),
+    ],
+    ids=["planned", "baseline", "learner"],
 )
 def test_regret_sweep_episode_count(inst_symmetric, monkeypatch, spec, runs, noisy):
     """A planned kind runs its baseline and one noiseless episode per
-    horizon, a learner its baseline and one episode per seed, with noise."""
+    horizon, the baseline's own policy (``markdown_oracle`` without
+    ``theta``) its baseline alone, and a learner its baseline and one
+    episode per seed, with noise."""
     noises = []
     episode_value = harness._episode_value
 
@@ -780,6 +788,37 @@ def test_failed_write_keeps_the_previous_output(tmp_path, monkeypatch, stage):
     assert out.read_bytes() == b"h\n1\n"
 
 
+def _dead_pid() -> int:
+    """The id of a process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+def test_write_csv_removes_stale_temps(tmp_path, monkeypatch):
+    """A write killed outright leaves its temp file behind.  The next write
+    of the output removes it where its pid is dead or this process's own,
+    and still renames its own temp onto the output; a live pid's temp (pid
+    1's), and another output's, are kept."""
+    own, dead = os.getpid(), _dead_pid()
+    stale = [f".out.csv.{pid}.tmp" for pid in (own, dead, 1)] + [f".other.csv.{dead}.tmp"]
+    for name in stale:
+        (tmp_path / name).write_bytes(b"partial")
+    replaced = []
+    replace = os.replace
+
+    def spy(src, dst):
+        replaced.append((src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", spy)
+    out = tmp_path / "out.csv"
+    _write_csv(out, {}, "h", [[np.arange(3)]])
+    assert out.read_bytes() == b"h\n0\n1\n2\n"
+    assert replaced == [(str(tmp_path / stale[0]), out)]
+    assert sorted(os.listdir(tmp_path)) == sorted([stale[2], stale[3], "out.csv"])
+
+
 def _two_price_records(seeds, T):
     cfg = load_config(os.path.join(CONFIGS, "two_price_gap.yaml"))
     return [run_episode(cfg.instance, cfg.noise, cfg.policy, T, cfg.run.r1, seed) for seed in seeds]
@@ -850,6 +889,19 @@ def test_write_csv_memory_does_not_grow_with_blocks(tmp_path, monkeypatch, disti
     eight = _traced_peak(lambda: _write_csv(tmp_path / "eight.csv", {}, "h", blocks))
     chunk, _ = _repr_chunk(first, 2000)
     assert eight <= one + chunk
+
+
+def test_write_episodes_csv_makes_no_realized_column(tmp_path, monkeypatch):
+    """``realized_revenue`` is made a chunk at a time: writing 3 distinct
+    episodes peaks less than one T-round column (8 B a round) above writing
+    one, where a whole column per episode would add two."""
+    monkeypatch.setattr(harness, "CSV_CELLS", 8 * 1024)  # 1,024-row chunks
+    T = 2**15
+    cfg = load_config(os.path.join(CONFIGS, "two_price_gap.yaml"))
+    records = [run_episode(cfg.instance, NOISES[2], cfg.policy, T, cfg.run.r1, seed) for seed in range(3)]
+    one = _traced_peak(lambda: write_episodes_csv(records[:1], tmp_path / "one.csv"))
+    three = _traced_peak(lambda: write_episodes_csv(records, tmp_path / "three.csv"))
+    assert three - one < 8 * T
 
 
 @pytest.mark.parametrize("width", [8, 3])
@@ -930,3 +982,9 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         _write_csv(tmp_path / "bad.csv", {}, "t,price", [(np.arange(3), [0.5, 1.5])])
     assert not (tmp_path / "bad.csv").exists()
+    rec = run_episode(INST, NoiseSpec.none(), {"kind": "fixed", "price": 0.9}, 5, 0.4, 0)
+    for short in ("price", "demand"):
+        bad = dataclasses.replace(rec, **{short: getattr(rec, short)[:4]})
+        with pytest.raises(ValueError, match="differ in length"):
+            write_episodes_csv([rec, bad], tmp_path / "bad.csv")
+        assert os.listdir(tmp_path) == []
