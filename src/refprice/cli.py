@@ -4,10 +4,12 @@ Every command takes ``--config PATH`` plus optional dotted overrides
 (``run.seeds=50``); ``--out`` and ``--threads`` are shorthands for
 ``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
 processes of a sweep and of a large CSV write; it defaults to the usable
-cores, and 1 starts no process.  An error in a worker process is raised in
-this one, and a worker that dies is an ``OSError``: either ends the command
-with one line, as an error here would.  ``validate`` always runs in one
-process.
+cores, and 1 starts no process.  Workers are forked with ``os.fork`` and
+report through pipes, so no command needs shared memory or a POSIX
+semaphore.  An error in a worker process is raised in this one, and a
+worker that dies is an ``OSError`` with its exit code: either ends the
+command with one line, as an error here would.  ``validate`` always runs in
+one process.
 CLI runs use one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
 The REFPRICE_SEED environment variable overrides ``run.base_seed`` (explicit
 overrides win).  Exit codes: 0 success, 1 validation failure or an error

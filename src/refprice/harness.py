@@ -18,6 +18,10 @@ noise nor the seed, so a sweep runs it once per horizon (see
 is the same for every seed: ``simulate`` runs it once, and every seed's
 record shares its arrays.
 
+A sweep and a large CSV write may fork children (``_fork``): through
+``os.fork`` and pipes alone, with no shared memory and no POSIX semaphore;
+``threads: 1`` starts no process.
+
 The CSV writers format rows in chunks of a fixed number of cells, column by
 column, in numpy: each cell's bytes are exactly ``repr``'s, built from its
 digits for int64 and for float64 in ``repr``'s positional range, and taken
@@ -35,16 +39,15 @@ whole, or the temp file of the process that formatted it.
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 import tempfile
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from multiprocessing.connection import Pipe
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -248,62 +251,68 @@ class RegretRecord:
 def _workers(threads: int, most: int) -> int:
     """Processes for at most ``most`` units of work under the cap
     ``threads``: min(``threads``, ``most``), at least 1, and 1 where this
-    process may not fork, since the ``fork`` start method is missing or
-    another Python thread is running (forking a process with threads is
-    unsafe)."""
-    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+    process may not fork, since the platform has no ``os.fork`` or another
+    Python thread is running (forking a process with threads is unsafe)."""
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
     return max(1, min(threads, most))
 
 
-def _send(task, k: int, send) -> None:
-    """A child's work: ``task(k)``, then its result or the exception it
-    raised through the connection ``send``."""
-    try:
-        send.send((True, task(k)))
-    except BaseException as exc:  # an unpicklable result's error too
-        send.send((False, exc))
-
-
 def _fork(name: str, task, n: int) -> list:
     """``[task(0), ..., task(n - 1)]``: task(0) in this process, and each
-    other in a child forked before task(0) starts, so it inherits what
-    ``task`` reads instead of receiving a pickled copy.  With n = 1 no
-    process is started.
+    other in a child forked (``os.fork``) before task(0) starts, so it
+    inherits what ``task`` reads instead of receiving a pickled copy.  With
+    n = 1 no process is started.
 
-    Each child sends back its result, or the exception it raised, through a
-    one-way pipe, and that exception is raised here as it is; a child that
-    ends without sending raises ``OSError``.  On any failure the children
-    still running are terminated, and every child is joined and every pipe
-    closed before this returns or raises.
+    Each child has its own pipe.  It pickles ``(True, task(k))``, or
+    ``(False, exc)`` for the exception it raised, into the pipe, and leaves
+    by ``os._exit``: nonzero if it could not send, and without running this
+    process's ``finally`` or ``except`` blocks or flushing a buffer it
+    inherited.  Here each pipe is read to its end before its child is
+    reaped, so a large result cannot block it.  A child's exception is
+    raised here as it is; a child that sent nothing, or exited nonzero,
+    raises ``OSError`` with its exit code (negative for a signal).  On any
+    failure every child not yet reaped gets SIGTERM; every child is reaped
+    and every pipe closed before this returns or raises.
     """
-    receives, children = [], []
+    pids, reads = [], []
     try:
         for k in range(1, n):
-            receive, send = Pipe(duplex=False)
-            receives.append(receive)
-            with send:  # closed here once the child has it, so its death reads as EOF
-                child = multiprocessing.get_context("fork").Process(target=_send, args=(task, k, send))
-                child.start()
-                children.append(child)
+            read, write = os.pipe()
+            reads.append(open(read, "rb"))
+            with open(write, "wb") as send:  # closed here once the child has it, so its death reads as EOF
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        try:
+                            message = pickle.dumps((True, task(k)))
+                        except BaseException as exc:  # an unpicklable result's error too
+                            message = pickle.dumps((False, exc))
+                        send.write(message)
+                        send.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
         results = [task(0)]
-        for k, (child, receive) in enumerate(zip(children, receives), 1):
-            try:
-                ok, result = receive.recv()
-            except EOFError:
-                child.join()
-                raise OSError(f"{name} process {k} exited with code {child.exitcode}") from None
+        for read in reads:
+            message = read.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]  # reaped
+            if code or not message:
+                raise OSError(f"{name} process {len(results)} exited with code {code}")
+            ok, result = pickle.loads(message)
             if not ok:
                 raise result
             results.append(result)
         return results
     finally:
-        for child in children:
-            child.terminate()  # a no-op once the child has exited
-            child.join()
-            child.close()
-        for receive in receives:
-            receive.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)  # a no-op once the child has exited
+            os.waitpid(pid, 0)
+        for read in reads:
+            read.close()
 
 
 def _episode_value(job) -> tuple[float, bool]:
@@ -337,10 +346,12 @@ def regret_sweep(
 
     The jobs, in ``T_list`` order, are run largest horizon first by W =
     ``_workers(threads, jobs)`` processes.  With W = 1 this process runs
-    them; with W > 1 it waits while W forked children (``_fork``) take them
-    one at a time from one shared counter, and a child's failure is raised
-    here.  Results are read back by job index, so they do not depend on
-    ``threads``.
+    them.  With W > 1 it runs none: it writes their indices, in that order,
+    into one pipe and closes it, while W forked children (``_fork``) each
+    read one index at a time until the pipe ends.  So no lock or shared
+    memory is needed, and a child that dies holds nothing another waits on;
+    a child's failure is raised here.  Results are read back by job index,
+    so they do not depend on ``threads``.
 
     A record is flagged when its mean regret is negative beyond noise
     tolerance (possible against the near-optimal baseline); flagged or
@@ -364,21 +375,28 @@ def regret_sweep(
     if workers == 1:
         done = [(j, _episode_value(jobs[j])) for j in order]
     else:
-        # The count of jobs of order handed out, in memory shared with the children.
-        claimed, lock = memoryview(mmap.mmap(-1, 8)).cast("q"), multiprocessing.Lock()
+        read, write = os.pipe()
+        with open(read, "rb", buffering=0) as take, open(write, "wb", buffering=0) as feed:
 
-        def claim():
-            with lock:
-                i = claimed[0]
-                claimed[0] = i + 1
-            return order[i] if i < len(jobs) else None
+            def task(k):
+                if k:  # a child: it takes one job index (4 bytes) at a time until the feed ends
+                    feed.close()  # else the feed's end never reads as EOF
+                    taken = (int.from_bytes(j, "little") for j in iter(lambda: take.read(4), b""))
+                    return [(j, _episode_value(jobs[j])) for j in taken]
+                # This process only feeds and waits: episodes run here would
+                # add their memory (and numpy.random) to its own.
+                take.close()  # else a write would block, not fail, once every child is gone
+                data = b"".join(j.to_bytes(4, "little") for j in order)
+                try:
+                    # Writes of at most 512 bytes, POSIX's least PIPE_BUF, are never split.
+                    for lo in range(0, len(data), 512):
+                        feed.write(data[lo : lo + 512])
+                except BrokenPipeError:
+                    pass  # every child is gone: _fork raises what ended them
+                feed.close()
+                return []
 
-        def task(k):
-            # This process only waits: episodes run here would add their
-            # memory (and numpy.random) to its own.
-            return [(j, _episode_value(jobs[j])) for j in iter(claim, None)] if k else []
-
-        done = chain(*_fork("sweep", task, workers + 1))
+            done = chain(*_fork("sweep", task, workers + 1))
     results = [value for _, value in sorted(done)]
     records = []
     for k, T in enumerate(T_list):
@@ -719,8 +737,9 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
     the file in file order, as in every one-block output; every other run
     goes to its own anonymous temp file in ``directory``, and its texts'
     lengths come back as the child's result.  Once every child has been
-    joined, the texts are copied from the temp files into ``f`` in file
-    order.  Where ``directory`` takes no new file (it may be read-only while
+    reaped, the texts are copied from the temp files into ``f`` in file
+    order.  ``f``'s buffer may hold lines at the fork: a child leaves by
+    ``os._exit`` and flushes nothing it inherited.  Where ``directory`` takes no new file (it may be read-only while
     ``f`` itself is writable), this process formats every item in file
     order straight into ``f`` and forks nothing.
 
@@ -731,9 +750,6 @@ def _write_blocks(f, blocks, sizes, rows: int, workers: int, directory) -> None:
     file_order, runs = _split(sizes, rows, workers)
     # 1 when run 0 begins the file and goes straight into f, else 0.
     straight = int(runs[0] == file_order[: len(runs[0])])
-    # A child inherits f's buffer: it must be empty, or a flush in the
-    # child would write its lines a second time.
-    f.flush()
     temps = []
     try:
         try:

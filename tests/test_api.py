@@ -90,6 +90,51 @@ def test_cli_import_loads_no_numpy_random():
     assert run_fresh("import sys, refprice.cli; print('numpy.random' in sys.modules)") == "False\n"
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # The sweep and the CSV writer fork with os.fork and pipes, so no
+    # command pays to import multiprocessing.
+    assert run_fresh("import sys, refprice.cli; print('multiprocessing' in sys.modules)") == "False\n"
+
+
+def test_forks_without_multiprocessing(tmp_path):
+    """With ``multiprocessing`` unimportable, ``sweep --threads 2`` (two
+    children take the jobs) and a 3-process ``_write_csv`` give the bytes
+    of one process: no ``threads`` needs a POSIX semaphore."""
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "learning_sweep.yaml")
+    code = f"""
+import os, sys
+sys.modules["multiprocessing"] = None
+import numpy as np
+from refprice import harness
+from refprice.cli import main
+
+forks, starts = [], []
+fork = os.fork
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counting_fork
+for threads in (1, 2):
+    args = ["sweep", "--config", {config!r}, "--out", os.path.join({str(tmp_path)!r}, f"sweep{{threads}}")]
+    assert main(args + ["--threads", str(threads), "run.T_list=[1000, 2000]", "run.seeds=2"]) == 0
+    starts.append(len(forks))
+harness.CSV_CELLS = 1
+blocks = [[np.arange(9), np.arange(9) / 7], [np.arange(4) - 2, np.arange(4) * 0.1]]
+for threads in (1, 3):
+    harness._write_csv(os.path.join({str(tmp_path)!r}, f"csv{{threads}}.csv"), {{}}, "a,b", blocks, threads=threads)
+    starts.append(len(forks))
+print(starts)
+"""
+    assert run_fresh(code).splitlines()[-1] == "[0, 2, 2, 4]"
+    regret = [(tmp_path / f"sweep{threads}" / "regret.csv").read_bytes() for threads in (1, 2)]
+    assert regret[0] == regret[1]
+    assert (tmp_path / "csv1.csv").read_bytes() == (tmp_path / "csv3.csv").read_bytes()
+
+
 def test_noiseless_planned_simulate_loads_no_numpy_random(tmp_path):
     # A planned path without noise draws nothing, so no episode builds a
     # generator.

@@ -482,3 +482,65 @@ def test_reset_plan_towards_a_target_near_p_max_is_cut_at_the_horizon(tmp_path):
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert len(rows) == 10000
     assert "# policy_t2=None" in lines
+
+
+# Aim 3's contract: every config either runs or fails cleanly.  (command,
+# config, overrides, exit code); "not_utf8" is a config written by the test.
+CONTRACT_CASES = {
+    "learner_T1": ("simulate", "learning_sweep.yaml", ["run.T=1"], 0),
+    "learner_budget_above_T": ("simulate", "learning_sweep.yaml", ["policy.t1_budget=4", "run.T=5"], 0),
+    "learner_budget_1e21": (
+        "simulate", "learning_sweep.yaml", ["policy.t1_budget=1000000000000000000000", "run.T=1000"], 0,
+    ),
+    "learner_c_t1_1e300": ("simulate", "learning_sweep.yaml", ["policy.c_t1=1e300", "run.T=1000"], 0),
+    "sweep_T_list_1_2_3": ("sweep", "learning_sweep.yaml", ["run.T_list=[1,2,3]"], 0),
+    "gaussian_std_1e300": (
+        "simulate", "two_price_gap.yaml", ["noise.kind=gaussian", "noise.std=1e300", "run.T=1000"], 0,
+    ),
+    "uniform_half_width_1e300": (
+        "simulate", "two_price_gap.yaml", ["noise.kind=bounded_uniform", "noise.half_width=1e300", "run.T=1000"], 0,
+    ),
+    "myopic_T3_r1_0": ("simulate", "default.yaml", ["policy.kind=myopic_greedy", "run.T=3", "run.r1=0"], 0),
+    "oracle_theta": ("simulate", "default.yaml", ["policy.theta=[0.49,0.1]"], 0),
+    "solve_T1": ("solve", "default.yaml", ["run.T=1"], 0),
+    "solve_T1e11": ("solve", "default.yaml", ["run.T=100000000000"], 1),
+    "override_not_yaml": ("solve", "default.yaml", ["run.T=[1,"], 2),
+    "config_not_utf8": ("solve", "not_utf8", [], 2),
+    "negative_demand": ("simulate", "default.yaml", ["instance.eta_minus=5"], 2),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+def test_config_runs_or_fails_cleanly(tmp_path, name, threads):
+    """Each case runs ``refprice`` in a subprocess with 1 GiB of address
+    space: it exits 0, 1 or 2 with at most one stderr line and no
+    traceback, and a failure leaves no file in the output directory."""
+    command, config, overrides, code = CONTRACT_CASES[name]
+    if config == "not_utf8":
+        config = tmp_path / "not_utf8.yaml"
+        config.write_bytes(b"instance:\n  a: 1.0\n# caf\xe9\n")
+    else:
+        config = os.path.join(CONFIGS, config)
+    out = tmp_path / "out"
+    out.mkdir()
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = [command, "--config", str(config), "--out", str(out), "--threads", str(threads), *overrides]
+    proc = subprocess.run(
+        [sys.executable, "-m", "refprice.cli", *argv],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    if code:
+        assert os.listdir(out) == []

@@ -41,7 +41,6 @@ between processes.
 """
 
 import hashlib
-import multiprocessing
 import os
 
 import pytest
@@ -49,6 +48,7 @@ import pytest
 from refprice import harness
 from refprice.cli import main
 
+from conftest import count_forks
 from oracles import write_csv_rowwise
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -151,14 +151,7 @@ def test_csv_golden_does_not_depend_on_threads(tmp_path, monkeypatch, name, thre
     """Every output here has at least ``threads`` * ``CSV_CELLS`` rows, so
     ``--threads`` n forks n - 1 helpers, each for a run of about 1/n of the
     rows; ``--threads 1`` starts no process at all."""
-    starts = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(process):
-        starts.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    starts = count_forks(monkeypatch)
     command, config, overrides, filename, digest = CASES[name]
     args = [command, "--config", os.path.join(CONFIGS, config), "--out", str(tmp_path)]
     assert main(args + ["--threads", str(threads)] + overrides) == 0
@@ -179,14 +172,7 @@ def test_gaussian_golden_is_repr_with_any_thread_count(tmp_path, monkeypatch, th
     with monkeypatch.context() as rowwise:
         rowwise.setattr(harness, "_write_csv", write_csv_rowwise)
         assert main(args + ["--out", str(tmp_path / "repr")] + overrides) == 0
-    starts = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(process):
-        starts.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    starts = count_forks(monkeypatch)
     monkeypatch.setattr(harness, "CSV_CELLS", 1024)
     assert main(args + ["--out", str(tmp_path / "numpy"), "--threads", str(threads)] + overrides) == 0
     for name in ("repr", "numpy"):

@@ -1,6 +1,6 @@
 import dataclasses
-import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -40,6 +40,7 @@ from refprice.model import DomainError
 from refprice.policies import Policy
 from refprice.validate import random_instance
 
+from conftest import count_forks, reap_children
 from oracles import post, write_csv_rowwise
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -298,7 +299,7 @@ def test_regret_sweep_threads_match_sequential(inst_symmetric):
 def test_regret_sweep_pool_no_larger_than_jobs(inst_symmetric, monkeypatch):
     """Every child starts at once: a 2-job sweep starts 2, whatever the
     thread cap, while its parent waits; ``threads=1`` starts none."""
-    starts = _count_starts(monkeypatch)
+    starts = count_forks(monkeypatch)
     kwargs = dict(noise=NoiseSpec.none(), policy_spec={"kind": "optimal_fixed"}, T_list=[60], seeds=1, r1=0.0)
     seq, _ = regret_sweep(inst_symmetric, **kwargs, threads=1)
     assert starts == []
@@ -391,39 +392,6 @@ def test_regret_sweep_episode_count(inst_symmetric, monkeypatch, spec, runs, noi
     regret_sweep(inst_symmetric, NoiseSpec.bounded_uniform(0.1), spec, [300, 600, 900], 4, 1.2, threads=1)
     assert len(noises) == 3 * (1 + runs)
     assert noises.count("bounded_uniform") == 3 * noisy
-
-
-def test_serial_sweep_makes_no_lock(inst_symmetric, monkeypatch):
-    """``threads=1`` runs every job here: it needs no lock, so a missing
-    POSIX semaphore does not stop it."""
-    kwargs = dict(
-        noise=NoiseSpec.bounded_uniform(0.1),
-        policy_spec={"kind": "learn_then_earn", "c_t1": 2.0},
-        T_list=[300, 600],
-        seeds=2,
-        r1=1.2,
-    )
-    expected = regret_sweep(inst_symmetric, **kwargs, threads=1)
-
-    def no_semaphore():
-        raise ImportError("This platform lacks a functioning sem_open implementation")
-
-    monkeypatch.setattr(harness.multiprocessing, "Lock", no_semaphore)
-    assert regret_sweep(inst_symmetric, **kwargs, threads=1) == expected
-
-
-
-def _count_starts(monkeypatch) -> list:
-    """The processes started from now on, in a list that fills as they start."""
-    starts = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(process):
-        starts.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
-    return starts
 
 
 def _from_bits(bits: int) -> float:
@@ -612,7 +580,7 @@ def test_write_csv_shares_at_edges(tmp_path, monkeypatch, name):
         return file_order, out
 
     monkeypatch.setattr(harness, "_split", split_spy)
-    starts = _count_starts(monkeypatch)
+    starts = count_forks(monkeypatch)
     _assert_writes_like_rowwise(tmp_path, blocks, threads)
     assert [[len(run) for run in out] for out in runs] == [run_items]
     assert len(starts) == len(run_items) - 1
@@ -663,8 +631,7 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
     and starts no process.  Root ignores the directory's mode, so the
     refusal is also made by ``os.open`` and ``tempfile``."""
     monkeypatch.setattr(harness, "CSV_CELLS", 1)
-    starts = []
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
+    starts = count_forks(monkeypatch)
 
     def refuse(*args, dir=None, **kwargs):
         raise PermissionError(13, "Permission denied", dir)
@@ -696,8 +663,7 @@ def test_write_csv_alone_where_directory_takes_no_new_file(tmp_path, monkeypatch
 def test_write_csv_does_not_fork_beside_a_thread(tmp_path, monkeypatch):
     """Forking a process with threads is unsafe: this process writes alone."""
     monkeypatch.setattr(harness, "CSV_CELLS", 1)
-    starts = []
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", starts.append)
+    starts = count_forks(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -725,7 +691,6 @@ def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch)
     thread.start()
     try:
         with monkeypatch.context() as refusing:
-            refusing.setattr(multiprocessing.process.BaseProcess, "start", _refuse_start)
             refusing.setattr(os, "fork", _refuse_start)
             assert regret_sweep(inst_symmetric, **kwargs, threads=2) == expected
     finally:
@@ -733,10 +698,45 @@ def test_regret_sweep_does_not_fork_beside_a_thread(inst_symmetric, monkeypatch)
         thread.join()
 
 
+def _divide_by_zero():
+    raise ZeroDivisionError("injected")
+
+
+@pytest.mark.parametrize(
+    "fail, error, match",
+    [
+        (_divide_by_zero, ZeroDivisionError, "^injected$"),
+        (lambda: os._exit(7), OSError, "^sweep process 1 exited with code 7$"),
+    ],
+    ids=["raises", "dies"],
+)
+def test_regret_sweep_child_failure_is_raised(inst_symmetric, monkeypatch, fail, error, match):
+    """A sweep child's own exception is raised here as it is, and a child
+    that dies is an ``OSError`` with its exit code.  The children fail at
+    their first job, while 96 KB of job indices, more than a pipe holds,
+    are still to be fed: the feed ends at the broken pipe."""
+    parent = os.getpid()
+    episode_value = harness._episode_value
+
+    def failing(job):
+        if os.getpid() != parent:
+            fail()
+        return episode_value(job)
+
+    monkeypatch.setattr(harness, "_episode_value", failing)
+    with pytest.raises(error, match=match) as raised:
+        regret_sweep(inst_symmetric, NoiseSpec.none(), {"kind": "optimal_fixed"}, [5] * 12000, 1, 0.0, threads=2)
+    assert raised.type is error
+
+
 @pytest.mark.parametrize(
     "fail_helper, error, match",
-    [(_raise, RuntimeError, "^injected$"), (lambda: os._exit(7), OSError, "^CSV writer process 1 .*exited with code 7$")],
-    ids=["raises", "dies"],
+    [
+        (_raise, RuntimeError, "^injected$"),
+        (lambda: os._exit(7), OSError, "^CSV writer process 1 .*exited with code 7$"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), OSError, "^CSV writer process 1 exited with code -9$"),
+    ],
+    ids=["raises", "dies", "killed"],
 )
 def test_write_csv_helper_failure_is_oserror(tmp_path, capfd, monkeypatch, fail_helper, error, match):
     """A helper's own exception is raised here as it is, and a helper that
@@ -747,7 +747,7 @@ def test_write_csv_helper_failure_is_oserror(tmp_path, capfd, monkeypatch, fail_
     with pytest.raises(error, match=match):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert "Traceback" not in capfd.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert reap_children() == []
     assert os.listdir(tmp_path) == []
 
 
@@ -759,7 +759,7 @@ def test_write_csv_share0_failure_stops_helpers(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         _write_csv(tmp_path / "out.csv", {}, "h", _long_blocks(), threads=3)
     assert time.perf_counter() - t0 < 30
-    assert multiprocessing.active_children() == []
+    assert reap_children() == []
     assert os.listdir(tmp_path) == []
 
 
