@@ -12,10 +12,13 @@ scalar recursion (``solve_segment``, ``curve_from_markdown_start`` and the
 backward sweep ``scalar_solve_curve``, the oracle for ``solve_curve``), the
 linear scan and the brute-force reset.  The linear scan decides each
 candidate start from its segment's initial price alone, the value
-``curve_from_markdown_start`` tests, and builds no curve; it rolls a chunk of
-starts at once, each start's initial price bit-identical to
-``segment_initial_price``'s.  The brute-force reset tests a chunk of plan
-lengths per numpy pass.
+``curve_from_markdown_start`` tests, and builds no curve; it scans a batch of
+cases at once, rolling a chunk of starts of every open case together, each
+start's initial price bit-identical to ``segment_initial_price``'s.  The
+brute-force reset tests a chunk of plan lengths per numpy pass.  The
+markdown-start check solves its cases one by one and scans them in one batch;
+the Lipschitz check skips a case whose perturbed parameter has no feasible
+markdown start, and counts it.
 
 ``run_all`` runs the checks one after another in this process, from one
 generator.  The dense check uses the BLAS thread count of its process: CLI
@@ -229,85 +232,138 @@ def dense_solve(theta: PolicyParams, r_md: float, markdown_start: int, horizon: 
     return np.linalg.solve(a, theta.c1 * markdown_start * r_md / s + theta.c2)
 
 
-def _segment_initial_prices(
-    theta: PolicyParams, r_md: np.ndarray, first: int, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``segment_initial_price`` for the starts first, first+1, ... at once.
+def _segment_initial_prices(c1, c2, horizon, start, r_md) -> tuple[np.ndarray, np.ndarray]:
+    """``segment_initial_price`` for many rows at once, from any cases.
 
-    Row j holds the coefficient pairs (pa, pb) and (ra, rb) of start
-    first + j and starts moving at round first + j, so the rows already
-    moving are a leading block.  Each round applies the one-step rule to that
-    block with the scalar loop's operations and operand order, so every row
-    ends bit-identical to the scalar roll.  Returns the final-round
-    condition's denominators and the initial prices; no start is tested here.
+    Each argument is a float array with one value per row: row j is the
+    segment on [start[j], horizon[j]] opened at reference r_md[j] under
+    the policy parameter (c1[j], c2[j]), rolled as its coefficient pairs
+    (pa, pb) and (ra, rb).  The rows are aligned on the rounds they have
+    left, horizon - start: sorted by it, longest first, the rows still
+    moving at each step are a leading block.  Each step applies the one-step
+    rule to that block with the scalar loop's operations and operand order,
+    at each row's own round t, so every row ends bit-identical to the scalar
+    roll.  Returns the final-round condition's denominators and the initial
+    prices, in the rows' order; no start is tested here.
     """
-    c1, c2 = theta.c1, theta.c2
-    k = len(r_md)
-    p = np.zeros((k, 2))  # columns pa, pb
-    p[:, 0] = 1.0
-    r = np.zeros((k, 2))  # columns ra, rb
-    r[:, 1] = r_md
-    step = np.empty((k, 2))
-    for t in range(first, horizon):
-        m = t - first + 1
-        pm, rm, sm = (p, r, step) if m >= k else (p[:m], r[:m], step[:m])
-        np.multiply(rm, c1 / (t + 1.0 + c1), out=sm)
-        rm *= t
+    order = np.argsort(start - horizon, kind="stable")
+    left = (horizon - start)[order]
+    k = len(order)
+    # moving[i] counts the rows with more than i rounds left.
+    moving = np.searchsorted(-left, -np.arange(left[0] if k else 0.0), side="left")
+    del left
+    c1s, t = c1[order], start[order]  # t: each row's round
+    p = np.zeros((2, k))  # rows pa, pb
+    p[0] = 1.0
+    r = np.zeros((2, k))  # rows ra, rb
+    r[1] = r_md[order]
+    dp = np.empty((2, k))  # step*(ra, rb); row 0 holds the step first
+    for m in moving.tolist():
+        pm, rm, dm, tm, cm = p[:, :m], r[:, :m], dp[:, :m], t[:m], c1s[:m]
+        step = dm[0]
+        np.add(tm, 1.0, out=step)
+        step += cm
+        np.divide(cm, step, out=step)
+        np.multiply(rm[1], step, out=dm[1])
+        np.multiply(rm[0], step, out=dm[0])
+        rm *= tm
         rm += pm
-        rm /= t + 1.0
-        pm -= sm
-    denom = p[:, 0] - c1 * r[:, 0]
-    return denom, (c1 * r[:, 1] + c2 - p[:, 1]) / denom
+        tm += 1.0
+        rm /= tm
+        pm -= dm
+    # dp becomes the sorted (denominator, initial price), and p its unsorted
+    # copy: the outputs take no memory beyond the roll's.  (A take in "clip"
+    # mode fills its out unbuffered; every index is in range.)
+    np.multiply(c1s, r[0], out=dp[0])
+    np.subtract(p[0], dp[0], out=dp[0])
+    np.multiply(c1s, r[1], out=dp[1])
+    dp[1] += np.take(c2, order, out=t, mode="clip")
+    dp[1] -= p[1]
+    dp[1] /= dp[0]
+    p[:, order] = dp
+    return p[0], p[1]
 
 
-# Candidate starts in the first chunk of the linear scan; each later chunk
-# doubles.  A chunk rolls every round from its first start to the horizon.
+# Candidate starts in a case's first chunk of the linear scan; each later
+# chunk doubles.  A chunk rolls every round from its first start to the
+# horizon.
 SCAN_CHUNK = 128
+
+
+def linear_scan_markdown_starts(cases) -> list[Optional[int]]:
+    """Smallest feasible markdown start of each case by exhaustive scan
+    (test oracle); None for a case where no start is feasible.
+
+    Each case is a tuple (theta, r_start, t_start, horizon, p_max).  Its
+    starts from ``t_start`` to ``horizon`` are tried in ascending order, each
+    decided from its segment's initial price alone by the rules of
+    ``segment_initial_price`` and ``curve_from_markdown_start``: a start
+    before the horizon needs a diagonally dominant system and a final-round
+    denominator of at least 1e-12 in size, and its initial price must lie in
+    [0, p_max] up to FEASIBILITY_TOL.  No curve is built.  A case tries its
+    starts in chunks, ``SCAN_CHUNK`` starts at first and doubling, and its
+    first feasible start wins.  Round k rolls chunk k of every case still
+    open in one call of ``_segment_initial_prices``, bit-identical to
+    ``segment_initial_price``.
+    """
+    firsts = []
+    for theta, r_start, t_start, horizon, p_max in cases:
+        if not 1 <= t_start <= horizon:
+            raise ValueError("need 1 <= t_start <= horizon")
+        if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
+            raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
+        first = t_start
+        # The dominance margin grows with the start, by c1/(start + 1) a step,
+        # far above its sum's rounding, so the starts that fail it are a
+        # leading run; they are never rolled.  The horizon start needs no test.
+        while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
+            first += 1
+        firsts.append(first)
+    c1, c2, base, t_start, horizon, p_max = np.array(
+        [(th.c1, th.c2, t * r, t, h, pm) for th, r, t, h, pm in cases], dtype=float
+    ).reshape(-1, 6).T
+    first = np.array(firsts, dtype=float)
+    found = np.full(len(cases), -1.0)
+    scan = np.arange(len(cases))  # the cases still open, ascending
+
+    def rows(x):
+        """One value of ``x`` per row of this round, from its case."""
+        return np.repeat(x[scan], sizes)
+
+    width = SCAN_CHUNK
+    # Overflow and NaN pass silently, as they do in the scalar loop's floats.
+    with np.errstate(all="ignore"):
+        while len(scan):
+            sizes = np.minimum(width, horizon[scan] + 1.0 - first[scan]).astype(int)
+            ends = np.cumsum(sizes)
+            t_md = np.arange(float(ends[-1]))
+            t_md += rows(first) - np.repeat(ends - sizes, sizes)
+            r_md = (rows(base) + (t_md - rows(t_start)) * rows(p_max)) / t_md
+            denom, p0 = _segment_initial_prices(rows(c1), rows(c2), rows(horizon), t_md, r_md)
+            # Negated as in curve_from_markdown_start, so a NaN is decided alike.
+            # The denominator rule guards c1 outside [0, 0.5), as in
+            # segment_initial_price.
+            out = (p0 < -FEASIBILITY_TOL) | (p0 > rows(p_max) + FEASIBILITY_TOL)
+            hit = np.flatnonzero(~(np.abs(denom) < 1e-12) & ~out)
+            # A case's rows are consecutive and ascend, so its first hit wins.
+            hit_at, at = np.unique(np.searchsorted(ends, hit, side="right"), return_index=True)
+            found[scan[hit_at]] = t_md[hit[at]]
+            first[scan] += sizes
+            scan = scan[(found[scan] < 0.0) & (first[scan] <= horizon[scan])]
+            width *= 2
+    return [int(x) if x >= 0.0 else None for x in found]
 
 
 def linear_scan_markdown_start(
     theta: PolicyParams, r_start: float, t_start: int, horizon: int, p_max: float
 ) -> int:
-    """Smallest feasible markdown start by exhaustive scan (test oracle).
-
-    Tries every start from ``t_start`` to ``horizon`` in ascending order and
-    decides each from its segment's initial price alone, by the rules of
-    ``segment_initial_price`` and ``curve_from_markdown_start``: a start
-    before the horizon needs a diagonally dominant system and a final-round
-    denominator of at least 1e-12 in size, and its initial price must lie in
-    [0, p_max] up to FEASIBILITY_TOL.  No curve is built.  The initial prices
-    of a chunk of starts are rolled together by ``_segment_initial_prices``,
-    bit-identical to ``segment_initial_price``; chunks start at
-    ``SCAN_CHUNK`` starts and double, and the first feasible start wins.
-    """
-    if not 1 <= t_start <= horizon:
-        raise ValueError("need 1 <= t_start <= horizon")
-    if not (0.0 <= r_start <= p_max + FEASIBILITY_TOL):
-        raise ValueError(f"r_start {r_start} outside [0, {p_max}]")
-    first = t_start
-    # The dominance margin grows with the start, by c1/(start + 1) a step, far
-    # above its sum's rounding, so the starts that fail it are a leading run;
-    # they are never rolled.  The horizon start needs no test.
-    while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
-        first += 1
-    width = SCAN_CHUNK
-    base = t_start * r_start
-    # Overflow and NaN pass silently, as they do in the scalar loop's floats.
-    with np.errstate(all="ignore"):
-        while first <= horizon:
-            t_md = np.arange(first, min(first + width, horizon + 1), dtype=float)
-            r_md = (base + (t_md - t_start) * p_max) / t_md
-            denom, p0 = _segment_initial_prices(theta, r_md, first, horizon)
-            # Negated as in curve_from_markdown_start, so a NaN is decided alike.
-            # The denominator rule guards c1 outside [0, 0.5), as in
-            # segment_initial_price.
-            out = (p0 < -FEASIBILITY_TOL) | (p0 > p_max + FEASIBILITY_TOL)
-            feasible = np.flatnonzero(~(np.abs(denom) < 1e-12) & ~out)
-            if len(feasible):
-                return first + int(feasible[0])
-            first += len(t_md)
-            width *= 2
-    raise SolverError("no feasible markdown start found by linear scan")
+    """Smallest feasible markdown start by exhaustive scan (test oracle): one
+    case of ``linear_scan_markdown_starts``.  Raises SolverError when no
+    start is feasible."""
+    (start,) = linear_scan_markdown_starts([(theta, r_start, t_start, horizon, p_max)])
+    if start is None:
+        raise SolverError("no feasible markdown start found by linear scan")
+    return start
 
 
 def random_instance(rng: np.random.Generator, symmetric: bool = True) -> Instance:
@@ -366,17 +422,18 @@ def check_binary_vs_linear(
     rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
 ) -> CheckResult:
     """Markdown start of ``solve_curve``'s backward pass vs the exhaustive
-    linear scan, on random symmetric and asymmetric instances."""
-    mismatches = 0
+    linear scan, on random symmetric and asymmetric instances.  The cases
+    are drawn first; each is solved, and the scan decides all of them in
+    one batch."""
+    cases = []
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
         theta = true_policy_params(inst)
         horizon = int(rng.integers(5, max_T + 1))
         r_start = rng.uniform(0.0, inst.p_max)
-        fast = solve_curve(theta, r_start, 1, horizon, inst.p_max)
-        scan = linear_scan_markdown_start(theta, r_start, 1, horizon, inst.p_max)
-        if fast.markdown_start != scan:
-            mismatches += 1
+        cases.append((theta, r_start, 1, horizon, inst.p_max))
+    fast = [solve_curve(*case).markdown_start for case in cases]
+    mismatches = sum(f != s for f, s in zip(fast, linear_scan_markdown_starts(cases)))
     return CheckResult(
         "binary_vs_linear_scan", mismatches == 0, f"{mismatches} mismatches in {n_cases} cases"
     )
@@ -527,9 +584,12 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
     """Empirical curve sensitivity to the policy parameter.
 
     The bound 10 * p_max * ||dtheta|| * (1 + ln(T/t1)) has an unspecified
-    constant, so violations are reported, never asserted.
+    constant, so violations are reported, never asserted.  A case where a
+    perturbed parameter has no feasible markdown start is skipped and
+    counted.
     """
     violations = 0
+    infeasible = 0
     worst_ratio = 0.0
     for _ in range(n_cases):
         inst = random_instance(rng)
@@ -541,7 +601,11 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
             c1 = min(max(theta.c1 + rng.uniform(-0.05, 0.05), 0.0), 0.45)
             c2 = max(theta.c2 + rng.uniform(-0.05, 0.05) * inst.p_max, 1e-3)
             thetas.append(PolicyParams(c1, c2))
-        curves = [solve_curve(th, r_start, 1, horizon, inst.p_max) for th in thetas]
+        try:
+            curves = [solve_curve(th, r_start, 1, horizon, inst.p_max) for th in thetas]
+        except SolverError:
+            infeasible += 1
+            continue
         diff = float(np.max(np.abs(curves[0].prices - curves[1].prices)))
         dtheta = math.hypot(thetas[0].c1 - thetas[1].c1, thetas[0].c2 - thetas[1].c2)
         if dtheta == 0.0:
@@ -550,10 +614,12 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
         worst_ratio = max(worst_ratio, diff / bound)
         if diff > bound:
             violations += 1
+    skipped = f"; {infeasible} with no feasible start" if infeasible else ""
     return CheckResult(
         "curve_lipschitz_logged",
         True,
-        f"{violations} bound violations in {n_cases} cases (worst ratio {worst_ratio:.2f}); informational",
+        f"{violations} bound violations in {n_cases} cases (worst ratio {worst_ratio:.2f})"
+        f"{skipped}; informational",
     )
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,24 @@ def no_processes(monkeypatch):
 def test_validate_stdout_golden(capsys, no_processes, threads):
     assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", str(threads)]) == 0
     assert capsys.readouterr().out == VALIDATE_GOLDEN
+
+
+def test_validate_skips_a_lipschitz_case_with_no_feasible_start(capsys, no_processes):
+    """At base seed 2 a perturbed theta of the Lipschitz check has no
+    feasible markdown start: the case is skipped and counted, and every
+    check still reports."""
+    assert main(["validate", "--config", DEFAULT_CONFIG, "run.base_seed=2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS dense_vs_recursion",
+        "PASS binary_vs_linear_scan",
+        "PASS foc_residual",
+        "PASS reset_brute_force",
+        "PASS gradient_unbiased",
+        "PASS curve_lipschitz_logged",
+        "all checks passed",
+    ]
+    assert lines[5].endswith("; 1 with no feasible start; informational")
 
 
 def test_run_all_starts_no_process(no_processes):
@@ -209,25 +229,51 @@ def scalar_linear_scan(theta, r_start, t_start, horizon, p_max):
     raise SolverError("no feasible markdown start found by linear scan")
 
 
-def recording_scan(args, width):
-    """linear_scan_markdown_start with the first chunk ``width`` starts wide;
-    returns its result (None on SolverError) and every chunk it rolled as
-    (first start, r_md, denominators, initial prices)."""
-    chunks = []
+@contextlib.contextmanager
+def recorded_rolls(width):
+    """The linear scan with first chunks ``width`` starts wide; yields the
+    list that gets the rows of each roll as (c1, c2, horizon, start, r_md,
+    denominators, initial prices)."""
+    rolls = []
     roll = validate._segment_initial_prices
 
-    def spy(theta, r_md, first, horizon):
-        denom, p0 = roll(theta, r_md, first, horizon)
-        chunks.append((first, r_md, denom, p0))
+    def spy(*rows):
+        denom, p0 = roll(*rows)
+        rolls.append((*rows, denom, p0))
         return denom, p0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(validate, "_segment_initial_prices", spy)
         mp.setattr(validate, "SCAN_CHUNK", width)
+        yield rolls
+
+
+def recording_scan(args, width):
+    """linear_scan_markdown_start with the first chunk ``width`` starts wide;
+    returns its result (None on SolverError) and every chunk it rolled as
+    (first start, r_md, denominators, initial prices)."""
+    theta, _, _, horizon, _ = args
+    with recorded_rolls(width) as rolls:
         try:
-            return linear_scan_markdown_start(*args), chunks
+            got = linear_scan_markdown_start(*args)
         except SolverError:
-            return None, chunks
+            got = None
+    chunks = []
+    for c1, c2, horizons, starts, r_md, denom, p0 in rolls:
+        # One case: every row carries its theta and horizon, and the starts
+        # run up from the chunk's first.
+        assert np.all(c1 == theta.c1) and np.all(c2 == theta.c2) and np.all(horizons == horizon)
+        assert np.array_equal(starts, np.arange(starts[0], starts[0] + len(starts)))
+        chunks.append((int(starts[0]), r_md, denom, p0))
+    return got, chunks
+
+
+def first_dominant_start(theta, t_start, horizon):
+    """The first start the scan rolls: past the leading run that fails dominance."""
+    first = t_start
+    while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
+        first += 1
+    return first
 
 
 def assert_scan_matches_scalar(theta, r_start, t_start, horizon, p_max, width):
@@ -243,9 +289,7 @@ def assert_scan_matches_scalar(theta, r_start, t_start, horizon, p_max, width):
         assert got == scalar_linear_scan(*args)
     except SolverError:
         assert got is None
-    first = t_start
-    while first < horizon and dominance_margin(theta.c1, first, horizon) <= 0.0:
-        first += 1
+    first = first_dominant_start(theta, t_start, horizon)
     for i, (chunk_first, r_md, denom, p0) in enumerate(chunks):
         assert chunk_first == first and len(r_md) == min(width << i, horizon + 1 - first)
         for j in range(len(r_md)):
@@ -271,23 +315,29 @@ def assert_scan_matches_scalar(theta, r_start, t_start, horizon, p_max, width):
 SCAN_WIDTHS = [1, 3, validate.SCAN_CHUNK]
 
 
+# The first feasible start lies past the default first chunk, behind starts
+# that fail dominance.
+PAST_FIRST_CHUNK = (
+    PolicyParams(0.3692214232506552, 0.6903545904521928), 0.3963408196247614, 5, 320, 1.3072149698289173
+)
+# Only the horizon start is feasible.
+HORIZON_ONLY = (
+    PolicyParams(0.1712756069501382, 0.9701797407771093), 0.24538626603452368, 8, 15, 1.0789976554298106
+)
+# No start is feasible.
+NONE_FEASIBLE = (
+    PolicyParams(0.36767868958872574, 0.6937067751068329), 0.885314245757298, 2, 394, 0.9206131369790599
+)
+
+
 @pytest.mark.parametrize("width", SCAN_WIDTHS)
 def test_linear_scan_edge_starts(width):
-    # The first feasible start lies past the default first chunk, behind
-    # starts that fail dominance.
-    theta = PolicyParams(0.3692214232506552, 0.6903545904521928)
-    args = (theta, 0.3963408196247614, 5, 320, 1.3072149698289173)
-    got, chunks = assert_scan_matches_scalar(*args, width)
+    theta = PAST_FIRST_CHUNK[0]
+    got, chunks = assert_scan_matches_scalar(*PAST_FIRST_CHUNK, width)
     assert got == 235 and len(chunks) > 1
     assert dominance_margin(theta.c1, 5, 320) <= 0.0 and chunks[0][0] > 5
-    # Only the horizon start is feasible.
-    theta = PolicyParams(0.1712756069501382, 0.9701797407771093)
-    args = (theta, 0.24538626603452368, 8, 15, 1.0789976554298106)
-    assert assert_scan_matches_scalar(*args, width)[0] == 15
-    # No start is feasible.
-    theta = PolicyParams(0.36767868958872574, 0.6937067751068329)
-    args = (theta, 0.885314245757298, 2, 394, 0.9206131369790599)
-    assert assert_scan_matches_scalar(*args, width)[0] is None
+    assert assert_scan_matches_scalar(*HORIZON_ONLY, width)[0] == 15
+    assert assert_scan_matches_scalar(*NONE_FEASIBLE, width)[0] is None
 
 
 @settings(derandomize=True, deadline=None)
@@ -307,6 +357,115 @@ def test_linear_scan_initial_prices_bit_identical(
     assert_scan_matches_scalar(theta, r_share * p_max, t_start, t_start + length, p_max, width)
 
 
+def assert_batch_matches_scalar(cases, width):
+    """The batched scan, first chunks ``width`` starts wide, gives each case
+    the scalar scan's start (None for its SolverError).  Roll i holds chunk
+    i of every case still open, in case order; a case's chunks run from its
+    first start that passes dominance, double in width, and end at its
+    start or its horizon.  Every rolled row carries its case's theta and
+    horizon and gets segment_initial_price's r_md, initial price and
+    SolverError, to the bit.  Returns the results."""
+    with recorded_rolls(width) as rolls:
+        got = validate.linear_scan_markdown_starts(cases)
+    expected = []
+    for case in cases:
+        try:
+            expected.append(scalar_linear_scan(*case))
+        except SolverError:
+            expected.append(None)
+    assert got == expected
+    firsts = [first_dominant_start(theta, t_start, h) for theta, _, t_start, h, _ in cases]
+    scanning = list(range(len(cases)))
+    for i, (c1, c2, horizons, starts, r_md, denom, p0) in enumerate(rolls):
+        assert scanning
+        j = 0
+        for c in list(scanning):
+            theta, r_start, t_start, horizon, p_max = cases[c]
+            n = min(width << i, horizon + 1 - firsts[c])
+            for t_md in range(firsts[c], firsts[c] + n):
+                assert (c1[j], c2[j], horizons[j], starts[j]) == (theta.c1, theta.c2, horizon, t_md)
+                r_md_scalar = (t_start * r_start + (t_md - t_start) * p_max) / t_md
+                assert float(r_md[j]).hex() == r_md_scalar.hex()
+                try:
+                    p0_scalar = segment_initial_price(theta, r_md_scalar, t_md, horizon)
+                except SolverError:
+                    assert t_md < horizon
+                    assert dominance_margin(theta.c1, t_md, horizon) <= 0.0 or abs(denom[j]) < 1e-12
+                else:
+                    assert abs(denom[j]) >= 1e-12 or t_md == horizon
+                    assert float(p0[j]).hex() == p0_scalar.hex()
+                j += 1
+            firsts[c] += n
+            if firsts[c] > horizon or (got[c] is not None and got[c] < firsts[c]):
+                scanning.remove(c)
+        assert j == len(starts)
+    assert scanning == []
+    return got
+
+
+def drawn_case(seed, symmetric, true_theta, t_start, length, r_share):
+    """A scan case (theta, r_start, t_start, horizon, p_max) on a random
+    instance, with its true or a random theta."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, symmetric=symmetric)
+    theta = true_policy_params(inst) if true_theta else random_theta(rng, inst.p_max)
+    return theta, r_share * inst.p_max, t_start, t_start + length, inst.p_max
+
+
+DRAWN_CASES = st.builds(
+    drawn_case,
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    true_theta=st.booleans(),
+    t_start=st.integers(1, 40),
+    length=st.integers(0, 460),
+    r_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    cases=st.lists(
+        st.one_of(DRAWN_CASES, st.sampled_from([PAST_FIRST_CHUNK, HORIZON_ONLY, NONE_FEASIBLE])),
+        max_size=5,
+    ),
+    width=st.sampled_from(SCAN_WIDTHS),
+)
+def test_linear_scan_batch_matches_scalar(cases, width):
+    assert_batch_matches_scalar(cases, width)
+
+
+@pytest.mark.parametrize("width", SCAN_WIDTHS)
+def test_linear_scan_batch_mixes_edge_cases(width):
+    """Cases whose start lies past the first chunk, at the horizon or
+    nowhere, rolled together with drawn ones, and alone."""
+    rng = np.random.default_rng(7)
+    drawn = [
+        drawn_case(int(rng.integers(2**32)), bool(i % 2), i < 2, 1 + 9 * i, 60 * i, rng.uniform())
+        for i in range(4)
+    ]
+    cases = [drawn[0], PAST_FIRST_CHUNK, drawn[1], HORIZON_ONLY, drawn[2], NONE_FEASIBLE, drawn[3]]
+    got = assert_batch_matches_scalar(cases, width)
+    assert got[1::2] == [235, 15, None]
+    assert assert_batch_matches_scalar([], width) == []
+    assert validate.linear_scan_markdown_starts(cases[1::2]) == [235, 15, None]
+
+
+def test_binary_vs_linear_peak_memory():
+    """check_binary_vs_linear rolls the scans of its 100 cases together; its
+    traced peak stays within 1.4 MB, about what check_foc_residual reaches.
+    Measured on a second call: a first call in a process also traces the
+    modules that numpy imports on first use."""
+    validate.check_binary_vs_linear(np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        assert validate.check_binary_vs_linear(np.random.default_rng(0)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4e6
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     c1=st.floats(0.0, 0.5, exclude_max=True),
@@ -323,8 +482,9 @@ def test_dominant_starts_have_large_denominators(c1, horizon, start_share):
     first = 1 + int(start_share * (horizon - 1))
     while first < horizon and dominance_margin(c1, first, horizon) <= 0.0:
         first += 1
-    theta = PolicyParams(c1, 1.0)
-    denom, _ = validate._segment_initial_prices(theta, np.zeros(horizon + 1 - first), first, horizon)
+    rows = np.ones(horizon + 1 - first)
+    starts = np.arange(float(first), horizon + 1.0)
+    denom, _ = validate._segment_initial_prices(c1 * rows, rows, horizon * rows, starts, 0.0 * rows)
     assert np.min(np.abs(denom)) >= 0.1
 
 
