@@ -3,13 +3,13 @@
 Every command takes ``--config PATH`` plus optional dotted overrides
 (``run.seeds=50``); ``--out`` and ``--threads`` are shorthands for
 ``run.out_dir`` and ``run.threads``.  ``run.threads`` caps the worker
-processes of a sweep and of a large CSV write; it defaults to the usable
-cores, and 1 starts no process.  Workers are forked with ``os.fork`` and
-report through pipes, so no command needs shared memory or a POSIX
-semaphore.  An error in a worker process is raised in this one, and a
-worker that dies is an ``OSError`` with its exit code: either ends the
-command with one line, as an error here would.  ``validate`` always runs in
-one process.
+processes of a sweep, of a large CSV write and of ``validate``'s groups of
+checks; it defaults to the usable cores, and 1 starts no process.  Workers
+are forked with ``os.fork`` and report through pipes, so no command needs
+shared memory or a POSIX semaphore.  An error in a worker process is raised
+in this one, and a worker that dies is an ``OSError`` with its exit code:
+either ends the command with one line, as an error here would.
+``validate`` prints the same stdout for any ``run.threads``.
 CLI runs use one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
 The REFPRICE_SEED environment variable overrides ``run.base_seed`` (explicit
 overrides win).  Exit codes: 0 success, 1 validation failure or an error
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="worker cap for sweeps and large CSV writes (overrides run.threads)",
+            help="worker cap for sweeps, large CSV writes and validate (overrides run.threads)",
         )
         p.add_argument(
             "overrides",
@@ -168,7 +168,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     # other command needs them.
     from .validate import run_all
 
-    results = run_all(seed=cfg.run.base_seed)
+    results = run_all(seed=cfg.run.base_seed, threads=cfg.run.threads)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

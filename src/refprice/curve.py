@@ -88,19 +88,23 @@ def _roll(e, p, s, out_p, out_s):
     k = -(-n // b)
     # steps[j, i] is step j of block i; the last block is padded with
     # repeats of e, which no output reads.
-    steps = np.resize(e, (k, b)).T.copy()
+    steps = np.resize(e, (k, b)).T
     # (ps, ss)[j, 0, i]: block i after step j from (1, 0); [j, 1, i] from (0, 1).
     ps, ss = np.empty((b, 2, k)), np.empty((b, 2, k))
     ps[0, 0], ps[0, 1], ss[0] = 1.0, steps[0], 1.0
     for j in range(1, b):
-        ps[j] = ps[j - 1] + steps[j] * ss[j - 1]
-        ss[j] = ss[j - 1] + ps[j - 1]
+        # ps[j] = ps[j-1] + steps[j]*ss[j-1] and ss[j] = ss[j-1] + ps[j-1],
+        # with no temporaries.
+        np.multiply(steps[j], ss[j - 1], out=ps[j])
+        ps[j] += ps[j - 1]
+        np.add(ss[j - 1], ps[j - 1], out=ss[j])
     ends = (x.tolist() for x in (ps[-1, 0], ps[-1, 1], ss[-1, 0], ss[-1, 1]))
-    starts = []
+    p0s, s0s = [], []
     for pa, pb, sa, sb in zip(*ends):
-        starts.append((p, s))
+        p0s.append(p)
+        s0s.append(s)
         p, s = pa * p + pb * s, sa * p + sb * s
-    p0s, s0s = np.array(starts).T
+    p0s, s0s = np.array(p0s), np.array(s0s)
     for paths, out in ((ps, out_p), (ss, out_s)):
         out[:] = (paths[:, 0] * p0s + paths[:, 1] * s0s).T.ravel()[:n]
     return float(out_p[-1]), float(out_s[-1])

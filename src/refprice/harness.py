@@ -18,9 +18,9 @@ noise nor the seed, so a sweep runs it once per horizon (see
 is the same for every seed: ``simulate`` runs it once, and every seed's
 record shares its arrays.
 
-A sweep and a large CSV write may fork children (``_fork``): through
-``os.fork`` and pipes alone, with no shared memory and no POSIX semaphore;
-``threads: 1`` starts no process.
+A sweep, a large CSV write and ``validate.run_all`` may fork children
+(``_fork``): through ``os.fork`` and pipes alone, with no shared memory and
+no POSIX semaphore; ``threads: 1`` starts no process.
 
 The CSV writers format rows in chunks of a fixed number of cells, column by
 column, in numpy: each cell's bytes are exactly ``repr``'s, built from its

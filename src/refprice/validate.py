@@ -20,10 +20,15 @@ markdown-start check solves its cases one by one and scans them in one batch;
 the Lipschitz check skips a case whose perturbed parameter has no feasible
 markdown start, and counts it.
 
-``run_all`` runs the checks one after another in this process, from one
-generator.  The dense check uses the BLAS thread count of its process: CLI
-runs use one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, and library
-callers get whatever their own process set.
+Each check draws all it needs first, in a draw half that returns the
+draws, and then evaluates them without drawing: ``run_all`` replays draw
+halves alone to bring a forked group's generator to the state its first
+check meets.  ``run_all`` runs the checks from one generator, in order, as
+up to ``threads`` contiguous groups in forked processes, with the same
+results for any number.  The dense check always runs in the calling
+process and uses its BLAS thread count: CLI runs use one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set, and library callers get whatever their own
+process set.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .curve import (
     harmonic_range,
     solve_curve,
 )
+from .harness import _fork, _workers
 from .model import Instance, NoiseSpec, PolicyParams, expected_demand, true_policy_params
 from .policies import RESET_TOL, reset_ref
 
@@ -393,16 +399,25 @@ def random_theta(rng: np.random.Generator, p_max: float) -> PolicyParams:
     return PolicyParams(rng.uniform(0.02, 0.4), rng.uniform(0.5, 0.75) * p_max)
 
 
-def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
-    """Dense solve of random segments vs the scalar recursion and
-    ``solve_curve``."""
-    worst = 0.0
+def _dense_cases(rng: np.random.Generator, n_cases: int = 50) -> list:
+    """The draws of ``check_dense_vs_recursion``: (theta, r_md,
+    markdown_start, horizon) per case."""
+    cases = []
     for _ in range(n_cases):
         p_max = rng.uniform(0.6, 2.0)
         theta = random_theta(rng, p_max)
         horizon = int(rng.integers(2, 201))
         markdown_start = int(rng.integers(1, horizon + 1))
         r_md = rng.uniform(0.0, p_max)
+        cases.append((theta, r_md, markdown_start, horizon))
+    return cases
+
+
+def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
+    """Dense solve of random segments vs the scalar recursion and
+    ``solve_curve``."""
+    worst = 0.0
+    for theta, r_md, markdown_start, horizon in _dense_cases(rng, n_cases):
         if dominance_margin(theta.c1, markdown_start, horizon) <= 0.0:
             continue
         dense = dense_solve(theta, r_md, markdown_start, horizon)
@@ -418,13 +433,9 @@ def check_dense_vs_recursion(rng: np.random.Generator, n_cases: int = 50) -> Che
     )
 
 
-def check_binary_vs_linear(
-    rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
-) -> CheckResult:
-    """Markdown start of ``solve_curve``'s backward pass vs the exhaustive
-    linear scan, on random symmetric and asymmetric instances.  The cases
-    are drawn first; each is solved, and the scan decides all of them in
-    one batch."""
+def _scan_cases(rng: np.random.Generator, n_cases: int = 100, max_T: int = 500) -> list:
+    """The draws of ``check_binary_vs_linear``: one ``solve_curve`` argument
+    tuple (theta, r_start, 1, horizon, p_max) per case."""
     cases = []
     for _ in range(n_cases):
         inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
@@ -432,6 +443,16 @@ def check_binary_vs_linear(
         horizon = int(rng.integers(5, max_T + 1))
         r_start = rng.uniform(0.0, inst.p_max)
         cases.append((theta, r_start, 1, horizon, inst.p_max))
+    return cases
+
+
+def check_binary_vs_linear(
+    rng: np.random.Generator, n_cases: int = 100, max_T: int = 500
+) -> CheckResult:
+    """Markdown start of ``solve_curve``'s backward pass vs the exhaustive
+    linear scan, on random symmetric and asymmetric instances.  Each case is
+    solved, and the scan decides all of them in one batch."""
+    cases = _scan_cases(rng, n_cases, max_T)
     fast = [solve_curve(*case).markdown_start for case in cases]
     mismatches = sum(f != s for f, s in zip(fast, linear_scan_markdown_starts(cases)))
     return CheckResult(
@@ -439,18 +460,28 @@ def check_binary_vs_linear(
     )
 
 
+def _foc_cases(
+    rng: np.random.Generator, horizons=(100, 1000, 10000), n_cases: int = 5
+) -> list:
+    """The draws of ``check_foc_residual``: (inst, r_start, horizon) per
+    case, ``n_cases`` per horizon."""
+    cases = []
+    for horizon in horizons:
+        for _ in range(n_cases):
+            inst = random_instance(rng)
+            cases.append((inst, rng.uniform(0.0, inst.p_max), horizon))
+    return cases
+
+
 def check_foc_residual(
     rng: np.random.Generator, horizons=(100, 1000, 10000), n_cases: int = 5
 ) -> CheckResult:
     """Optimality-condition residual of solved curves."""
     worst = 0.0
-    for horizon in horizons:
-        for _ in range(n_cases):
-            inst = random_instance(rng)
-            theta = true_policy_params(inst)
-            r_start = rng.uniform(0.0, inst.p_max)
-            curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
-            worst = max(worst, foc_residual(curve, theta))
+    for inst, r_start, horizon in _foc_cases(rng, horizons, n_cases):
+        theta = true_policy_params(inst)
+        curve = solve_curve(theta, r_start, 1, horizon, inst.p_max)
+        worst = max(worst, foc_residual(curve, theta))
     return CheckResult("foc_residual", worst <= FOC_TOL, f"max residual {worst:.3e}")
 
 
@@ -484,15 +515,24 @@ def brute_force_reset(t: int, r_t: float, r_target: float, p_max: float, n_max: 
     return None
 
 
-def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> CheckResult:
-    """Closed-form reset plans vs ``brute_force_reset``."""
-    bad = 0
-    worst_err = 0.0
+def _reset_cases(rng: np.random.Generator, n_cases: int = 1000) -> list:
+    """The draws of ``check_reset_brute_force``: (t, r_t, r_target, p_max)
+    per case."""
+    cases = []
     for _ in range(n_cases):
         p_max = rng.uniform(0.5, 2.0)
         t = int(rng.integers(1, 500))
         r_t = rng.uniform(0.0, p_max)
         r_target = rng.uniform(0.05 * p_max, 0.95 * p_max)
+        cases.append((t, r_t, r_target, p_max))
+    return cases
+
+
+def check_reset_brute_force(rng: np.random.Generator, n_cases: int = 1000) -> CheckResult:
+    """Closed-form reset plans vs ``brute_force_reset``."""
+    bad = 0
+    worst_err = 0.0
+    for t, r_t, r_target, p_max in _reset_cases(rng, n_cases):
         plan = reset_ref(t, r_t, r_target, p_max)
         oracle_n = brute_force_reset(t, r_t, r_target, p_max)
         # An oracle miss counts as a mismatch; test it before using oracle_n.
@@ -535,6 +575,25 @@ def shock_mean_p_value(noise: NoiseSpec, mean: float, n: int) -> float:
     return math.erfc(abs(mean) * math.sqrt(n / 2.0) / noise.std)
 
 
+def _gradient_draws(
+    rng: np.random.Generator, n_points: int = 10, n_shocks: int = 10**5
+) -> tuple[list, list]:
+    """The draws of ``check_gradient_unbiased``: (inst, r, d, p) per point,
+    then the mean of ``n_shocks`` draws of each shock kind, as (noise, mean)
+    pairs."""
+    points = []
+    for _ in range(n_points):
+        inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
+        r = rng.uniform(inst.p_ratio_bound, inst.p_max)
+        d = 0.5 * (r - inst.p_ratio_bound)
+        points.append((inst, r, d, rng.uniform(d, r - d)))
+    means = [
+        (noise, float(np.mean(noise.draw_array(rng, n_shocks))))
+        for noise in (NoiseSpec.bounded_uniform(0.2), NoiseSpec.gaussian(0.2))
+    ]
+    return points, means
+
+
 def check_gradient_unbiased(
     rng: np.random.Generator, n_points: int = 10, n_shocks: int = 10**5
 ) -> CheckResult:
@@ -556,28 +615,40 @@ def check_gradient_unbiased(
     replaced (10 points, 10^6 draws per noise kind, |z| at most 3) failed
     ``run_all`` at 12 of the 200 base seeds 0-199.
     """
+    points, means = _gradient_draws(rng, n_points, n_shocks)
     worst = 0.0
-    for _ in range(n_points):
-        inst = random_instance(rng, symmetric=bool(rng.integers(0, 2)))
-        r = rng.uniform(inst.p_ratio_bound, inst.p_max)
-        d = 0.5 * (r - inst.p_ratio_bound)
-        p = rng.uniform(d, r - d)
+    for inst, r, d, p in points:
         target = inst.b + inst.eta_plus * r - 2.0 * (inst.a + inst.eta_plus) * p
         average = 0.5 * sum(
             one_point_estimate(price, expected_demand(inst, price, r), kappa, d)
             for kappa, price in ((-1.0, p - d), (1.0, p + d))
         )
         worst = max(worst, abs(average - target) / (inst.b * inst.p_max / d))
-    p_value = min(
-        shock_mean_p_value(noise, float(np.mean(noise.draw_array(rng, n_shocks))), n_shocks)
-        for noise in (NoiseSpec.bounded_uniform(0.2), NoiseSpec.gaussian(0.2))
-    )
+    p_value = min(shock_mean_p_value(noise, mean, n_shocks) for noise, mean in means)
     return CheckResult(
         "gradient_unbiased",
         worst <= GRADIENT_TOL and p_value >= SHOCK_FALSE_ALARM,
         f"max kappa-average error {worst:.1e} x b*p_max/d (limit {GRADIENT_TOL:g}), "
         f"min shock-mean p-value {p_value:.2g} (limit {SHOCK_FALSE_ALARM:g})",
     )
+
+
+def _lipschitz_cases(rng: np.random.Generator, n_cases: int = 50) -> list:
+    """The draws of ``check_curve_lipschitz``: (inst, r_start, horizon,
+    thetas) per case, ``thetas`` the two perturbed parameters."""
+    cases = []
+    for _ in range(n_cases):
+        inst = random_instance(rng)
+        theta = true_policy_params(inst)
+        horizon = int(rng.integers(30, 300))
+        r_start = rng.uniform(0.0, inst.p_max)
+        thetas = []
+        for _ in range(2):
+            c1 = min(max(theta.c1 + rng.uniform(-0.05, 0.05), 0.0), 0.45)
+            c2 = max(theta.c2 + rng.uniform(-0.05, 0.05) * inst.p_max, 1e-3)
+            thetas.append(PolicyParams(c1, c2))
+        cases.append((inst, r_start, horizon, thetas))
+    return cases
 
 
 def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckResult:
@@ -591,16 +662,7 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
     violations = 0
     infeasible = 0
     worst_ratio = 0.0
-    for _ in range(n_cases):
-        inst = random_instance(rng)
-        theta = true_policy_params(inst)
-        horizon = int(rng.integers(30, 300))
-        r_start = rng.uniform(0.0, inst.p_max)
-        thetas = []
-        for _ in range(2):
-            c1 = min(max(theta.c1 + rng.uniform(-0.05, 0.05), 0.0), 0.45)
-            c2 = max(theta.c2 + rng.uniform(-0.05, 0.05) * inst.p_max, 1e-3)
-            thetas.append(PolicyParams(c1, c2))
+    for inst, r_start, horizon, thetas in _lipschitz_cases(rng, n_cases):
         try:
             curves = [solve_curve(th, r_start, 1, horizon, inst.p_max) for th in thetas]
         except SolverError:
@@ -623,15 +685,36 @@ def check_curve_lipschitz(rng: np.random.Generator, n_cases: int = 50) -> CheckR
     )
 
 
-def run_all(seed: int = 0) -> list[CheckResult]:
-    """Every check, in order, in this process, from one generator seeded
-    with ``seed``."""
-    rng = np.random.default_rng(seed)
-    return [
-        check_dense_vs_recursion(rng),
-        check_binary_vs_linear(rng),
-        check_foc_residual(rng),
-        check_reset_brute_force(rng),
-        check_gradient_unbiased(rng),
-        check_curve_lipschitz(rng),
+def run_all(seed: int = 0, threads: int = 1) -> list[CheckResult]:
+    """Every check, in order, from one generator seeded with ``seed``.
+
+    The six checks are cut into W = ``_workers(threads, 6)`` contiguous
+    groups, group k holding checks 6k//W to 6(k+1)//W - 1, and run through
+    ``harness._fork``: group 0 in this process, each other in a child
+    forked before group 0 starts, so every process holds the generator in
+    its start state.  A group first replays the draws of every check before
+    it, then runs its own checks whole, so each check sees the generator
+    state it sees in one process, and the results are the same for any W.
+    Group 0 holds the dense check, the only BLAS caller.  A check that
+    raises in a child is raised here; a child that dies is an ``OSError``
+    (see ``_fork``).  With ``threads`` 1 no process is started.
+    """
+    # (draw half, whole check), looked up per call so that a rebound name is used
+    checks = [
+        (_dense_cases, check_dense_vs_recursion),
+        (_scan_cases, check_binary_vs_linear),
+        (_foc_cases, check_foc_residual),
+        (_reset_cases, check_reset_brute_force),
+        (_gradient_draws, check_gradient_unbiased),
+        (_lipschitz_cases, check_curve_lipschitz),
     ]
+    n = _workers(threads, len(checks))
+    rng = np.random.default_rng(seed)
+
+    def group(k: int) -> list[CheckResult]:
+        first, end = len(checks) * k // n, len(checks) * (k + 1) // n
+        for draw, _ in checks[:first]:
+            draw(rng)
+        return [check(rng) for _, check in checks[first:end]]
+
+    return [res for part in _fork("validate", group, n) for res in part]

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -14,6 +15,7 @@ from refprice.cli import main
 from refprice.curve import FEASIBILITY_TOL
 from refprice.policies import RESET_TOL
 from refprice import validate
+from conftest import count_forks, reap_children
 from refprice.validate import (
     brute_force_reset,
     check_gradient_unbiased,
@@ -61,12 +63,20 @@ def no_processes(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_validate_stdout_golden(capsys, no_processes, threads):
+def test_validate_stdout_golden(capsys, monkeypatch, request, threads):
+    """The same stdout from one process as from 2 or 3, which fork one
+    child per group after the first."""
+    if threads == 1:
+        request.getfixturevalue("no_processes")
+    else:
+        starts = count_forks(monkeypatch)
     assert main(["validate", "--config", DEFAULT_CONFIG, "--threads", str(threads)]) == 0
     assert capsys.readouterr().out == VALIDATE_GOLDEN
+    if threads > 1:
+        assert len(starts) == threads - 1
 
 
-def test_validate_skips_a_lipschitz_case_with_no_feasible_start(capsys, no_processes):
+def test_validate_skips_a_lipschitz_case_with_no_feasible_start(capsys):
     """At base seed 2 a perturbed theta of the Lipschitz check has no
     feasible markdown start: the case is skipped and counted, and every
     check still reports."""
@@ -88,10 +98,75 @@ def test_run_all_starts_no_process(no_processes):
     assert all(r.passed for r in validate.run_all(0))
 
 
+# Each check's draw half, in run_all's order.
+DRAW_HALVES = [
+    (validate._dense_cases, validate.check_dense_vs_recursion),
+    (validate._scan_cases, validate.check_binary_vs_linear),
+    (validate._foc_cases, validate.check_foc_residual),
+    (validate._reset_cases, validate.check_reset_brute_force),
+    (validate._gradient_draws, validate.check_gradient_unbiased),
+    (validate._lipschitz_cases, validate.check_curve_lipschitz),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("i", range(len(DRAW_HALVES)), ids=[c.__name__ for _, c in DRAW_HALVES])
+def test_draw_half_makes_every_draw_of_its_check(seed, i):
+    """What a forked group's replay rests on: from the generator state a
+    check meets in run_all at base ``seed``, its draw half leaves the state
+    the whole check leaves."""
+    draw, check = DRAW_HALVES[i]
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for earlier, _ in DRAW_HALVES[:i]:
+        for rng in rngs:
+            earlier(rng)
+    draw(rngs[0])
+    check(rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_run_all_in_groups_matches_one_process(monkeypatch, seed):
+    """Any number of groups gives one process's results; a cap above the six
+    checks forks one child for each check after the first.  At base seed 2
+    the Lipschitz check, in a child's group, skips a case."""
+    expected = validate.run_all(seed)
+    starts = count_forks(monkeypatch)
+    for threads in (2, 3, 7):
+        starts.clear()
+        assert validate.run_all(seed, threads=threads) == expected
+        assert len(starts) == min(threads, 6) - 1
+    assert ("no feasible start" in expected[-1].detail) == (seed == 2)
+
+
+def _raise_solver_error(rng):
+    raise SolverError("injected")
+
+
+def _die(rng):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "check, error",
+    [(_raise_solver_error, "error: injected"), (_die, "error: validate process 1 exited with code -9")],
+    ids=["raises", "killed"],
+)
+def test_validate_child_failure_is_one_error_line(capsys, monkeypatch, check, error):
+    """A check in the child's group that raises, or a child that is killed,
+    ends the command with one error line and exit 1, and leaves no child."""
+    monkeypatch.setattr(validate, "check_curve_lipschitz", check)
+    argv = ["validate", "--config", DEFAULT_CONFIG, "--threads", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error + "\n")
+    assert reap_children() == []
+
+
 @pytest.mark.parametrize("reason", ["thread", "no_fork"])
 def test_run_all_alone_where_it_may_not_fork(monkeypatch, reason):
-    """With another thread running, or with fork not on offer, run_all gives
-    the same results and still starts no process."""
+    """With another thread running, or with fork not on offer, run_all at 2
+    threads gives the same results and still starts no process."""
     expected = validate.run_all(0)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -101,7 +176,7 @@ def test_run_all_alone_where_it_may_not_fork(monkeypatch, reason):
     else:
         monkeypatch.delattr(os, "fork")
     try:
-        assert validate.run_all(0) == expected
+        assert validate.run_all(0, threads=2) == expected
     finally:
         stop.set()
         if reason == "thread":
